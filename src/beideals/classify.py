@@ -10,11 +10,13 @@ the bound checks:
 Betti data is computed over both QQ and F_2; the two tables are expected
 to agree at this scale but the comparison is recorded, not assumed.
 
-Regularity, projective dimension, Krull dimension and fpt do not depend on
-the labeling; the type column does.  Rows are computed under a closed
-labeling whenever one exists (so the path rows reflect the monotone
-labeling, where the initial ideal is a complete intersection) and under
-the canonical labeling otherwise.
+The initial ideal depends on the labeling, and so do the fpt and type
+columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do
+regularity and projective dimension, since the initial ideal is square-free
+(Conca & Varbaro 2020).  Rows are computed under the closed labeling that
+``find_closed_labeling`` returns whenever one exists (so the path rows
+reflect the monotone labeling, where the initial ideal is a complete
+intersection) and under the canonical labeling otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .betti import betti_tables, fpt_squarefree, homological_summary, regularity
 from .edgeideals import initial_ideal_generators
 from .fields import GF, QQ
 from .graphs import (
+    ENUMERATION_LIMIT,
     Graph,
     LimitExceededError,
     canonical_form,
@@ -61,20 +64,15 @@ class RunConfig:
 
     n_min: int = 2
     n_max: int = 6
-    primes: tuple = (2, 3)
     jobs: int = 1
-    enumeration_limit: int = 7
 
     def __post_init__(self):
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
-        if self.n_max > self.enumeration_limit:
+        if self.n_max > ENUMERATION_LIMIT:
             raise LimitExceededError(
-                f"n_max={self.n_max} exceeds the enumeration limit {self.enumeration_limit}"
+                f"n_max={self.n_max} exceeds the enumeration limit {ENUMERATION_LIMIT}"
             )
-        for p in self.primes:
-            if p not in (2, 3, 5):
-                raise ValueError(f"supported primes are 2, 3, 5; got {p}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
@@ -169,7 +167,7 @@ def classify_range(config: RunConfig) -> list:
     sorted by (n, graph id) regardless of parallelism."""
     graphs = []
     for n in range(config.n_min, config.n_max + 1):
-        graphs.extend(enumerate_connected_graphs(n, limit=config.enumeration_limit))
+        graphs.extend(enumerate_connected_graphs(n))
     if config.jobs > 1:
         with multiprocessing.Pool(config.jobs) as pool:
             rows = pool.map(classify_graph, graphs)

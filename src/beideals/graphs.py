@@ -1,9 +1,9 @@
 """Finite simple graphs on vertex set {1, ..., n} and their path data.
 
-Provides the closedness predicates, admissible-path enumeration, and
-isomorphism-free generation of connected graphs via a canonical labeling
-(minimum upper-triangular adjacency bit-string over all vertex
-permutations).
+Provides the closedness predicates, a LexBFS search for closed labelings,
+admissible-path enumeration, and isomorphism-free generation of connected
+graphs via a canonical labeling (minimum upper-triangular adjacency
+bit-string over all vertex permutations).
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+# Largest n that enumerate_connected_graphs accepts by default.
+ENUMERATION_LIMIT = 7
 
 
 class LimitExceededError(ValueError):
@@ -130,21 +134,39 @@ def relabel(g: Graph, sigma) -> Graph:
     return Graph(g.n, [(sigma[i - 1], sigma[j - 1]) for i, j in g.edges])
 
 
-def find_closed_labeling(g: Graph, limit: int = 9):
-    """First permutation (in lexicographic order) whose relabeling is closed.
+def _lexbfs(adj: dict, rank: dict) -> list:
+    """Vertices in LexBFS order; among equal labels the highest ``rank`` goes first."""
+    n = len(adj)
+    label = {v: 0 for v in adj}
+    order = []
+    for step in range(n):
+        v = max(label, key=lambda u: (label[u], rank[u]))
+        del label[v]
+        order.append(v)
+        for w in adj[v]:
+            if w in label:
+                label[w] |= 1 << (n - 1 - step)
+    return order
 
-    Returns the permutation as a tuple sigma with vertex v mapped to
-    sigma[v - 1], or None when no labeling is closed.  Searches all n!
-    permutations, so n is capped by ``limit``.
+
+def find_closed_labeling(g: Graph):
+    """A closed labeling of g, or None when g has none.
+
+    Closed graphs are the proper interval graphs (Herzog, Hibi,
+    Hreinsdottir, Kahle & Rauh 2010), and the third of three LexBFS sweeps
+    is a proper interval ordering whenever one exists (Corneil 2004).  The
+    first sweep breaks ties by the smallest vertex, each later one by the
+    vertex that came last in the previous sweep.  Components are swept one
+    after another, so disconnected graphs are handled too.  Returns sigma
+    with vertex v mapped to sigma[v - 1], its position in the third sweep.
     """
-    if g.n > limit:
-        raise LimitExceededError(
-            f"closed-labeling search over {g.n}! permutations exceeds limit n <= {limit}"
-        )
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        if is_closed_with_labeling(relabel(g, perm)):
-            return perm
-    return None
+    adj = g.adjacency()
+    order = _lexbfs(adj, {v: -v for v in adj})
+    for _ in range(2):
+        order = _lexbfs(adj, {v: k for k, v in enumerate(order)})
+    position = {v: k for k, v in enumerate(order, 1)}
+    sigma = tuple(position[v] for v in range(1, g.n + 1))
+    return sigma if is_closed_with_labeling(relabel(g, sigma)) else None
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +180,8 @@ class AdmissiblePath:
     (i)   the vertices are pairwise distinct;
     (ii)  every interior vertex is either < i or > j;
     (iii) dropping any proper subset of the interior vertices (keeping
-          their order) never leaves a path from i to j.
+          their order) never leaves a path from i to j; equivalently, no
+          two non-consecutive vertices of the path are adjacent.
     """
 
     vertices: tuple
@@ -176,32 +199,13 @@ class AdmissiblePath:
         return self.vertices[1:-1]
 
 
-def _is_walk(g: Graph, seq) -> bool:
-    return all(g.has_edge(seq[t], seq[t + 1]) for t in range(len(seq) - 1))
-
-
-def is_admissible_path(g: Graph, vertices) -> bool:
-    """Literal check of conditions (i)-(iii) plus path-ness for i < j."""
-    seq = tuple(vertices)
-    if len(seq) < 2 or seq[0] >= seq[-1]:
-        return False
-    if len(set(seq)) != len(seq):
-        return False
-    if not _is_walk(g, seq):
-        return False
-    i, j = seq[0], seq[-1]
-    inner = seq[1:-1]
-    if any(i <= v <= j for v in inner):
-        return False
-    for r in range(len(inner)):
-        for keep in itertools.combinations(inner, r):
-            if _is_walk(g, (i,) + keep + (j,)):
-                return False
-    return True
-
-
 def admissible_paths(g: Graph, i: int, j: int) -> list:
-    """All admissible paths from i to j (requires i < j), sorted by vertex sequence."""
+    """All admissible paths from i to j (requires i < j), in lexicographic order.
+
+    Condition (iii) says the path has no chord, so a depth-first search
+    extends a path by w only when w is adjacent to no vertex of the path
+    except its last one.
+    """
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError(f"endpoints ({i}, {j}) out of range")
     if i >= j:
@@ -209,18 +213,16 @@ def admissible_paths(g: Graph, i: int, j: int) -> list:
     adj = g.adjacency()
     found = []
 
-    def extend(seq, seen):
+    def extend(seq, blocked):
+        # blocked: the path's vertices and every neighbour of its non-last vertices
         v = seq[-1]
-        for w in sorted(adj[v]):
+        for w in sorted(adj[v] - blocked):
             if w == j:
-                cand = seq + (j,)
-                if is_admissible_path(g, cand):
-                    found.append(AdmissiblePath(cand))
-            elif w not in seen and (w < i or w > j):
-                extend(seq + (w,), seen | {w})
+                found.append(AdmissiblePath(seq + (j,)))
+            elif w < i or w > j:
+                extend(seq + (w,), blocked | adj[v])
 
     extend((i,), {i})
-    found.sort(key=lambda p: p.vertices)
     return found
 
 
@@ -302,7 +304,7 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     return tuple(reps[c] for c in sorted(reps))
 
 
-def enumerate_connected_graphs(n: int, limit: int = 7) -> tuple:
+def enumerate_connected_graphs(n: int, limit: int = ENUMERATION_LIMIT) -> tuple:
     """Connected graphs on n vertices up to isomorphism, canonically labeled.
 
     Output is sorted by canonical adjacency code.  The underlying

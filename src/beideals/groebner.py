@@ -10,7 +10,7 @@ on.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .polys import (
     Polynomial,
@@ -33,7 +33,6 @@ class IdealBasis:
 
     polys: tuple
     marked_groebner: bool = False
-    order: str = field(default="lex", compare=False)
 
     def __init__(self, polys, marked_groebner: bool = False):
         polys = tuple(polys)
@@ -49,7 +48,6 @@ class IdealBasis:
         ordered = tuple(sorted(polys, key=lambda p: (p.degree(), p.lm())))
         object.__setattr__(self, "polys", ordered)
         object.__setattr__(self, "marked_groebner", marked_groebner)
-        object.__setattr__(self, "order", "lex")
 
     def __len__(self):
         return len(self.polys)

@@ -310,10 +310,6 @@ def format_monomial(ctx: PolyContext, m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def format_poly(f: Polynomial) -> str:
     if not f.terms:
         return "0"
@@ -324,11 +320,11 @@ def format_poly(f: Polynomial) -> str:
         negative = c < 0
         mag = -c if negative else c
         if mono == "1":
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:

@@ -6,12 +6,17 @@ import pytest
 
 from beideals import (
     CSV_COLUMNS,
+    QQ,
     Graph,
     LimitExceededError,
     RunConfig,
+    betti_table,
     classify_graph,
     classify_range,
+    fpt_squarefree,
     graph_id,
+    homological_summary,
+    initial_ideal_generators,
     relabel,
     rows_to_csv,
     rows_to_json,
@@ -33,11 +38,20 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(5, 3)
     with pytest.raises(ValueError):
-        RunConfig(2, 4, primes=(2, 7))
-    with pytest.raises(ValueError):
         RunConfig(2, 4, jobs=0)
     # defaults are fine
     RunConfig()
+
+
+def test_fpt_and_type_depend_on_the_labeling():
+    def fpt_and_type(g):
+        mingens = initial_ideal_generators(g)
+        summary = homological_summary(betti_table(mingens, 6, QQ))
+        return fpt_squarefree(mingens, 6).fpt, summary["type"]
+
+    # the path 1-2-3, and the same path labeled 1-3-2
+    assert fpt_and_type(Graph(3, [(1, 2), (2, 3)])) == (2, 1)
+    assert fpt_and_type(Graph(3, [(1, 3), (2, 3)])) == (1, 2)
 
 
 def test_graph_id_is_labeling_invariant():

@@ -1,13 +1,14 @@
 """Graphs: validation, closedness, admissible paths, canonical labeling.
 
-The admissible-path routine is checked against a from-scratch oracle that
-enumerates every simple path and applies the three defining conditions
-verbatim, and the isomorphism-class enumeration is checked against a scan
-of all edge subsets.
+The closed-labeling search is checked against a scan of all n! labelings,
+the admissible-path routine against a from-scratch oracle that enumerates
+every simple path and applies the three defining conditions verbatim, and
+the isomorphism-class enumeration against a scan of all edge subsets.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -21,18 +22,23 @@ from beideals import (
     enumerate_connected_graphs,
     find_closed_labeling,
     graph_from_json_dict,
-    is_admissible_path,
     is_closed_with_labeling,
     is_connected,
     is_path_graph,
     relabel,
 )
+from beideals.graphs import _all_graphs_up_to_iso
 
 PETERSEN = Graph(
     10,
     [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
      (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
      (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)],
+)
+
+# K_9 with three pendant leaves on vertex 1: a claw, so not closed
+K9_WITH_LEAVES = Graph(
+    12, list(itertools.combinations(range(1, 10), 2)) + [(1, 10), (1, 11), (1, 12)]
 )
 
 
@@ -122,9 +128,45 @@ def test_graphs_with_no_closed_labeling():
     assert find_closed_labeling(claw) is None
 
 
+def closed_labeling_by_scan(g):
+    """The first labeling, in lexicographic order, that is closed; n! checks."""
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        if is_closed_with_labeling(relabel(g, perm)):
+            return perm
+    return None
+
+
+def test_closed_search_against_scan_oracle():
+    count = 0
+    for n in range(1, 7):
+        for g in _all_graphs_up_to_iso(n):  # disconnected graphs included
+            sigma = find_closed_labeling(g)
+            assert (sigma is None) == (closed_labeling_by_scan(g) is None), g
+            if sigma is not None:
+                assert is_closed_with_labeling(relabel(g, sigma)), g
+            count += 1
+    assert count == 208
+
+
 def test_closed_search_limit():
-    with pytest.raises(LimitExceededError):
-        find_closed_labeling(PETERSEN)
+    # no size cap: graphs with no closed labeling are refused quickly
+    for g in (PETERSEN, K9_WITH_LEAVES):
+        start = time.perf_counter()
+        assert find_closed_labeling(g) is None
+        assert time.perf_counter() - start < 1.0
+
+
+def test_scrambled_band_graph_gets_closed_labeling():
+    n, width = 30, 3
+    perm = list(range(1, n + 1))
+    random.Random(3).shuffle(perm)
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    band = Graph(n, [(i, j) for i, j in pairs if j - i <= width])
+    g = relabel(band, tuple(perm))
+    assert not is_closed_with_labeling(g)
+    sigma = find_closed_labeling(g)
+    assert sigma is not None
+    assert is_closed_with_labeling(relabel(g, sigma))
 
 
 # admissible paths -------------------------------------------------------
@@ -176,22 +218,14 @@ def test_pair_must_be_increasing():
 
 
 def test_admissible_against_definition_oracle():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                expected = {p for p in all_simple_paths(g, i, j) if admissible_by_definition(g, p)}
-                got = {p.vertices for p in admissible_paths(g, i, j)}
+                expected = sorted(
+                    p for p in all_simple_paths(g, i, j) if admissible_by_definition(g, p)
+                )
+                got = [p.vertices for p in admissible_paths(g, i, j)]
                 assert got == expected, (g, i, j)
-                for p in got:
-                    assert is_admissible_path(g, p)
-
-
-def test_is_admissible_path_rejects_non_paths():
-    g = path_graph(4)
-    assert not is_admissible_path(g, (1, 3))      # not an edge
-    assert not is_admissible_path(g, (2, 1))      # decreasing pair
-    assert not is_admissible_path(g, (1, 2, 3))   # interior inside [i, j]
-    assert is_admissible_path(Graph(3, [(1, 3), (2, 3)]), (1, 3, 2))
 
 
 # canonical forms and enumeration ----------------------------------------
