@@ -4,6 +4,7 @@ initial ideals, all over exact coefficient fields."""
 
 from .betti import (
     BettiTable,
+    BettiTables,
     FptReport,
     betti_table,
     betti_tables,
@@ -84,7 +85,7 @@ from .simplicial import SimplicialComplex, krull_dim, stanley_reisner
 
 # Listed explicitly: dir() would also export the submodule names.
 __all__ = [
-    "BettiTable", "FptReport", "betti_table", "betti_tables", "fpt_squarefree",
+    "BettiTable", "BettiTables", "FptReport", "betti_table", "betti_tables", "fpt_squarefree",
     "homological_summary", "projective_dimension", "regularity", "render_betti",
     "CSV_COLUMNS", "ClassificationRow", "RunConfig", "classify_graph", "classify_range",
     "graph_id", "rows_to_csv", "rows_to_json", "violations",

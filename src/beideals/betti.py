@@ -13,6 +13,18 @@ economies: a variable missing from every generator is a cone point of any
 restriction containing it, so only subsets of the appearing variables
 matter; inside a restriction, any vertex not covered by a generator
 support is again a cone point, and those restrictions are dropped.
+
+Each remaining restriction is visited once, whatever the number of fields.
+Its faces are built by extension (``star_quotient_levels``), leaving out
+the closed star of one vertex: the star is a cone, so the faces outside it
+carry the same reduced homology over every coefficient ring.  The F_2
+ranks come from XOR elimination on int bitset rows.  The QQ ranks are
+certified from F_2 when that is proven: dim_Q H~_i <= dim_F2 H~_i for every
+i (universal coefficients) and the two Euler characteristics agree, so
+when the F_2 homology is zero or sits in a single degree, the QQ homology
+equals it.  Only when the F_2 homology is spread over two or more degrees
+do the QQ ranks come from exact fraction-free elimination over Z.  Odd F_p
+always uses exact elimination mod p.  Nothing is sampled or skipped.
 """
 
 from __future__ import annotations
@@ -21,9 +33,9 @@ from dataclasses import dataclass
 
 from .polys import mono_degree, mono_divides
 from .simplicial import (
-    chain_data,
-    homology_ranks_from,
-    restriction_faces,
+    face_levels,
+    homology_by_field,
+    star_quotient_levels,
     support_masks,
 )
 
@@ -48,42 +60,51 @@ class BettiTable:
         }
 
 
-def betti_tables(mingens, nvars: int, fields) -> list:
+class BettiTables(tuple):
+    """One BettiTable per requested field, in order, plus ``krull_dim``,
+    the Krull dimension of S/I, which does not depend on the field."""
+
+    def __new__(cls, tables, krull_dim: int):
+        self = super().__new__(cls, tables)
+        self.krull_dim = krull_dim
+        return self
+
+
+def betti_tables(mingens, nvars: int, fields) -> BettiTables:
     """Graded Betti numbers of S/I over several coefficient fields at once.
 
     Tables can differ between characteristics, which is why the field list
-    is explicit; the combinatorial work (restrictions, cone-point pruning,
-    boundary matrices) is shared and only the ranks are recomputed.
+    is explicit; the faces of each restriction are built once and only the
+    ranks are recomputed.  The Krull dimension is the largest face of the
+    complex: the largest face on the appearing variables, from one full
+    ``face_levels`` pass, plus the absent variables, which are cone points.
     """
     masks = support_masks(mingens, nvars)
     appearing = 0
     for m in masks:
         appearing |= m
-    appear_bits = [v for v in range(nvars) if appearing >> v & 1]
-
     tables: list = [dict() for _ in fields]
-    count = 1 << len(appear_bits)
-    for t in range(count):
-        sigma = 0
-        tt = t
-        for v in appear_bits:
-            if tt & 1:
-                sigma |= 1 << v
-            tt >>= 1
+    sigma = appearing
+    while True:
         covered = 0
         for m in masks:
             if m & sigma == m:
                 covered |= m
-        if covered != sigma:
-            continue  # some vertex of sigma is a cone point of the restriction
-        size = bin(sigma).count("1")
-        counts, boundaries = chain_data(restriction_faces(masks, sigma))
-        for table, fld in zip(tables, fields):
-            for d, h in homology_ranks_from(counts, boundaries, fld).items():
-                if h:
-                    key = (size - 1 - d, size)
-                    table[key] = table.get(key, 0) + h
-    return [BettiTable(tuple(sorted(t.items()))) for t in tables]
+        if covered == sigma:  # else a vertex of sigma is a cone point
+            levels = star_quotient_levels(masks, sigma)
+            size = sigma.bit_count()
+            for table, ranks in zip(tables, homology_by_field(levels, fields)):
+                for d, h in ranks.items():
+                    if h:
+                        key = (size - 1 - d, size)
+                        table[key] = table.get(key, 0) + h
+        if sigma == 0:
+            break
+        sigma = (sigma - 1) & appearing
+    return BettiTables(
+        [BettiTable(tuple(sorted(t.items()))) for t in tables],
+        len(face_levels(masks, appearing)) - 1 + nvars - appearing.bit_count(),
+    )
 
 
 def betti_table(mingens, nvars: int, fld) -> BettiTable:

@@ -7,8 +7,13 @@ the bound checks:
 
     reg <= n - 1;  non-path implies reg <= n - 2;  dim >= n + 1;  fpt = 2.
 
-Betti data is computed over both QQ and F_2; the two tables are expected
-to agree at this scale but the comparison is recorded, not assumed.
+Betti data is computed over both QQ and F_2, in one pass that also gives
+the Krull dimension.  The QQ ranks of a restriction are read off F_2 only
+where universal coefficients prove them equal (F_2 homology in at most one
+degree) and come from exact elimination otherwise, so the
+``betti_fields_agree`` column can be false only through that exact
+fallback.  The tables agree at this scale, but the comparison is recorded,
+not assumed.
 
 The initial ideal depends on the labeling, and so do the fpt and type
 columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do
@@ -40,7 +45,6 @@ from .graphs import (
     is_path_graph,
     relabel,
 )
-from .simplicial import krull_dim, stanley_reisner
 
 CSV_COLUMNS = [
     "id",
@@ -130,10 +134,9 @@ def classify_graph(g: Graph) -> ClassificationRow:
     nvars = 2 * n
 
     fpt_report = fpt_squarefree(mingens, nvars)
-    complex_ = stanley_reisner(mingens, nvars)
-    dim = krull_dim(complex_)
-
-    table_q, table_f2 = betti_tables(mingens, nvars, [QQ, GF(2)])
+    tables = betti_tables(mingens, nvars, [QQ, GF(2)])
+    table_q, table_f2 = tables
+    dim = tables.krull_dim
     summary = homological_summary(table_q)
     agree = table_q.entries == table_f2.entries
 

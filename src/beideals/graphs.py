@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 
-# Largest n that enumerate_connected_graphs accepts by default.
+# Largest n that enumerate_connected_graphs accepts.
 ENUMERATION_LIMIT = 7
 
 
@@ -65,16 +65,22 @@ class Graph:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
 
 
+def _is_int(v) -> bool:
+    """True for JSON integers; JSON true and false load as bools, which
+    are ints to Python, and are refused."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be {"n": int, "edges": [[i, j], ...]}')
     n = data["n"]
     edges = data["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not _is_int(n) or not isinstance(edges, list):
         raise ValueError("graph JSON has wrong field types")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
             raise ValueError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return Graph(n, pairs)
@@ -304,16 +310,19 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     return tuple(reps[c] for c in sorted(reps))
 
 
-def enumerate_connected_graphs(n: int, limit: int = ENUMERATION_LIMIT) -> tuple:
+def enumerate_connected_graphs(n: int) -> tuple:
     """Connected graphs on n vertices up to isomorphism, canonically labeled.
 
     Output is sorted by canonical adjacency code.  The underlying
     generation extends each (n-1)-vertex representative by one new vertex
-    with every possible neighborhood, so it is exhaustive; n is capped by
-    ``limit`` because canonicalization enumerates all n! permutations.
+    with every possible neighborhood, so it is exhaustive; n is capped at
+    ``ENUMERATION_LIMIT`` because canonicalization enumerates all n!
+    permutations.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if n > limit:
-        raise LimitExceededError(f"graph enumeration capped at n <= {limit}, got n={n}")
+    if n > ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"graph enumeration capped at n <= {ENUMERATION_LIMIT}, got n={n}"
+        )
     return tuple(g for g in _all_graphs_up_to_iso(n) if is_connected(g))

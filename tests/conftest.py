@@ -7,7 +7,6 @@ from beideals import RunConfig, classify_range
 def classification_rows():
     """One report row per connected isomorphism class with n <= 6 (143 rows).
 
-    Shared by the acceptance tests; takes around half a minute, so build it
-    once per session.
+    Shared by the acceptance tests, so it is built once per session.
     """
     return classify_range(RunConfig(1, 6))

@@ -1,6 +1,8 @@
 """Graded Betti tables via restriction homology, and threshold counting."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -19,7 +21,9 @@ from beideals import (
     render_betti,
 )
 
+from beideals.graphs import enumerate_connected_graphs, find_closed_labeling, relabel
 from hochster_oracle import betti_by_restriction
+from scan_engine import scan_betti_table, scan_facets
 
 
 def path_graph(n):
@@ -75,6 +79,57 @@ def test_agrees_with_restriction_oracle_spot_check():
     gens = initial_ideal_generators(g)
     for fld in (QQ, GF(2)):
         assert betti_table(gens, 8, fld).as_dict() == betti_by_restriction(gens, 8, fld)
+
+
+def classify_labeled_gens(g):
+    """Initial ideal generators under the labeling classify_graph uses."""
+    sigma = find_closed_labeling(g)
+    return initial_ideal_generators(relabel(g, sigma) if sigma else g)
+
+
+def test_betti_tables_match_scan_engine():
+    fields = [QQ, GF(2), GF(3)]
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            gens = classify_labeled_gens(g)
+            tables = betti_tables(gens, 2 * n, fields)
+            for table, fld in zip(tables, fields):
+                assert table.as_dict() == scan_betti_table(gens, 2 * n, fld), (g.edges, fld)
+            assert tables.krull_dim == max(len(f) for f in scan_facets(gens, 2 * n))
+
+
+def test_random_squarefree_ideals_match_scan_engine():
+    # generators of any degree, not necessarily minimal, repeats allowed
+    rng = random.Random(5)
+    fields = [QQ, GF(2), GF(3)]
+    for _ in range(300):
+        nvars = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(0, 6)):
+            support = rng.sample(range(nvars), rng.randint(1, min(4, nvars)))
+            gens.append(tuple(int(v in support) for v in range(nvars)))
+        tables = betti_tables(gens, nvars, fields)
+        for table, fld in zip(tables, fields):
+            assert table.as_dict() == scan_betti_table(gens, nvars, fld), (gens, fld)
+        assert tables.krull_dim == max(len(f) for f in scan_facets(gens, nvars))
+
+
+def test_projective_plane_needs_the_exact_fallback():
+    # Stanley-Reisner ideal of the six-vertex real projective plane: its
+    # minimal non-faces are the ten triangles that are not among its faces
+    faces = {
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+    }
+    gens = [
+        tuple(int(v in t) for v in range(6))
+        for t in itertools.combinations(range(6), 3)
+        if t not in faces
+    ]
+    tq, t2 = betti_tables(gens, 6, [QQ, GF(2)])
+    assert tq.as_dict() != t2.as_dict()
+    assert tq.as_dict() == betti_by_restriction(gens, 6, QQ)
+    assert t2.as_dict() == betti_by_restriction(gens, 6, GF(2))
 
 
 def test_structural_invariants():

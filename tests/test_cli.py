@@ -162,6 +162,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["gb", loops]) == 2
 
 
+def test_json_booleans_exit_2(tmp_path, capsys):
+    bool_n = tmp_path / "bool_n.json"
+    bool_n.write_text('{"n": true, "edges": []}')
+    assert main(["betti", str(bool_n)]) == 2
+    assert "wrong field types" in capsys.readouterr().err
+    bool_vertex = tmp_path / "bool_vertex.json"
+    bool_vertex.write_text('{"n": 3, "edges": [[true, 3]]}')
+    assert main(["betti", str(bool_vertex)]) == 2
+    assert "bad edge entry" in capsys.readouterr().err
+
+
 def test_classify_clean_range(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["classify", "--n-min", "2", "--n-max", "3", "--out", str(out_dir)]) == 0

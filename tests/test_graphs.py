@@ -27,7 +27,7 @@ from beideals import (
     is_path_graph,
     relabel,
 )
-from beideals.graphs import _all_graphs_up_to_iso
+from beideals.graphs import ENUMERATION_LIMIT, _all_graphs_up_to_iso
 
 PETERSEN = Graph(
     10,
@@ -95,6 +95,13 @@ def test_json_round_trip():
         graph_from_json_dict({"n": 3, "edges": [[1, 2, 3]]})
     with pytest.raises(ValueError):
         graph_from_json_dict({"n": 3, "edges": [[0, 1]]})
+
+
+def test_json_booleans_are_not_integers():
+    with pytest.raises(ValueError, match="wrong field types"):
+        graph_from_json_dict({"n": True, "edges": []})
+    with pytest.raises(ValueError, match="bad edge entry"):
+        graph_from_json_dict({"n": 3, "edges": [[True, 3]]})
 
 
 def test_relabel_preserves_structure():
@@ -281,4 +288,4 @@ def test_enumeration_reps_are_canonical_and_sorted():
 
 def test_enumeration_limit():
     with pytest.raises(LimitExceededError):
-        enumerate_connected_graphs(8, limit=7)
+        enumerate_connected_graphs(ENUMERATION_LIMIT + 1)

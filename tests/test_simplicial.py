@@ -6,12 +6,17 @@ import random
 import pytest
 
 from beideals import GF, QQ, Graph, PolyContext, initial_ideal_generators, krull_dim, stanley_reisner
+from beideals.graphs import enumerate_connected_graphs
 from beideals.simplicial import (
+    face_levels,
+    homology_by_field,
     homology_ranks,
     matrix_rank,
     restriction_faces,
+    star_quotient_levels,
     support_masks,
 )
+from scan_engine import scan_facets, scan_restriction_faces
 
 
 def mask(*bits):
@@ -106,6 +111,65 @@ def test_restriction_faces_lists_submasks():
     # every subset of sigma except those containing {0,1}
     want = sorted(s for s in faces_of([sigma]) if (s & mask(0, 1)) != mask(0, 1))
     assert got == want
+
+
+SAMPLE_GRAPHS = [
+    Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # 4-cycle
+    Graph(4, [(1, 4), (2, 4), (3, 4)]),  # claw, center labeled last
+    Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)]),
+    Graph(5, list(itertools.combinations(range(1, 6), 2))),  # K5
+]
+
+
+def every_sigma(masks):
+    """Every subset of the appearing variables, as a bitmask."""
+    appearing = 0
+    for m in masks:
+        appearing |= m
+    sigma = appearing
+    while True:
+        yield sigma
+        if sigma == 0:
+            return
+        sigma = (sigma - 1) & appearing
+
+
+def test_restriction_faces_against_subset_scan():
+    for g in SAMPLE_GRAPHS:
+        masks = support_masks(initial_ideal_generators(g), 2 * g.n)
+        for sigma in every_sigma(masks):
+            got = restriction_faces(masks, sigma)
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(scan_restriction_faces(masks, sigma)), (g.edges, sigma)
+            levels = face_levels(masks, sigma)
+            assert all(f.bit_count() == k for k, level in enumerate(levels) for f in level)
+
+
+def test_star_quotient_keeps_the_homology():
+    fields = [QQ, GF(2), GF(3)]
+    for g in SAMPLE_GRAPHS:
+        masks = support_masks(initial_ideal_generators(g), 2 * g.n)
+        for sigma in every_sigma(masks):
+            full = face_levels(masks, sigma)
+            quotient = star_quotient_levels(masks, sigma)
+            faces = {f for level in full for f in level}
+            cut = {f for level in quotient for f in level}
+            # the faces outside the closed star of some vertex, or all of a
+            # complex without vertices
+            assert cut == faces if full == [[0]] else any(
+                cut == {f for f in faces if not f & v and f | v not in faces}
+                for v in full[1]
+            ), (g.edges, sigma)
+            got = [{d: h for d, h in r.items() if h} for r in homology_by_field(quotient, fields)]
+            want = [{d: h for d, h in r.items() if h} for r in homology_by_field(full, fields)]
+            assert got == want, (g.edges, sigma)
+
+
+def test_facets_against_subset_sweep():
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            gens = initial_ideal_generators(g)
+            assert list(stanley_reisner(gens, 2 * n).facets) == scan_facets(gens, 2 * n)
 
 
 # homology ------------------------------------------------------------------
