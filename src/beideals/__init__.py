@@ -52,7 +52,6 @@ from .graphs import (
     admissible_paths,
     adjacency_code,
     canonical_form,
-    canonical_graph,
     enumerate_connected_graphs,
     find_closed_labeling,
     graph_from_json_dict,
@@ -96,7 +95,7 @@ __all__ = [
     "path_monomial", "plucker_relation", "swap_congruence_holds",
     "GF", "QQ", "PrimeField", "RationalField",
     "AdmissiblePath", "Graph", "LimitExceededError", "admissible_paths",
-    "adjacency_code", "canonical_form", "canonical_graph", "enumerate_connected_graphs",
+    "adjacency_code", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",
     "IdealBasis", "buchberger", "colon_contains", "divmod_basis", "frobenius_power",

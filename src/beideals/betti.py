@@ -8,11 +8,11 @@ Hochster's formula, in quotient indexing: for i >= 1,
                       rank H~_{j-i-1}(restriction of Delta to sigma)
 
 and beta_{0,0} = 1 comes out of the same sum through sigma = {} (the
-restriction there is the complex whose only face is the empty set).  Two
-economies: a variable missing from every generator is a cone point of any
-restriction containing it, so only subsets of the appearing variables
-matter; inside a restriction, any vertex not covered by a generator
-support is again a cone point, and those restrictions are dropped.
+restriction there is the complex whose only face is the empty set).  A
+vertex of sigma outside every generator support contained in sigma is a
+cone point of the restriction, whose reduced homology then vanishes.  So
+only the sets covered by their own supports count, and those are exactly
+the unions of generator supports, which are built directly.
 
 Each remaining restriction is visited once, whatever the number of fields.
 Its faces are built by extension (``star_quotient_levels``), leaving out
@@ -80,27 +80,20 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
     ``face_levels`` pass, plus the absent variables, which are cone points.
     """
     masks = support_masks(mingens, nvars)
-    appearing = 0
+    # the restrictions with no cone point are exactly the unions of supports
+    unions = {0}
     for m in masks:
-        appearing |= m
+        unions |= {u | m for u in unions}
+    appearing = max(unions)  # the union of all supports
     tables: list = [dict() for _ in fields]
-    sigma = appearing
-    while True:
-        covered = 0
-        for m in masks:
-            if m & sigma == m:
-                covered |= m
-        if covered == sigma:  # else a vertex of sigma is a cone point
-            levels = star_quotient_levels(masks, sigma)
-            size = sigma.bit_count()
-            for table, ranks in zip(tables, homology_by_field(levels, fields)):
-                for d, h in ranks.items():
-                    if h:
-                        key = (size - 1 - d, size)
-                        table[key] = table.get(key, 0) + h
-        if sigma == 0:
-            break
-        sigma = (sigma - 1) & appearing
+    for sigma in unions:
+        levels = star_quotient_levels(masks, sigma)
+        size = sigma.bit_count()
+        for table, ranks in zip(tables, homology_by_field(levels, fields)):
+            for d, h in ranks.items():
+                if h:
+                    key = (size - 1 - d, size)
+                    table[key] = table.get(key, 0) + h
     return BettiTables(
         [BettiTable(tuple(sorted(t.items()))) for t in tables],
         len(face_levels(masks, appearing)) - 1 + nvars - appearing.bit_count(),

@@ -152,8 +152,6 @@ def cmd_closed(args) -> int:
 
 def cmd_fedder(args) -> int:
     g = _load_graph(args.graph)
-    if args.p == 5 and not args.big_prime:
-        raise ValueError("p=5 bracket powers are expensive; pass --big-prime to allow")
     if args.p not in (2, 3, 5):
         raise ValueError("supported primes are 2, 3 and 5")
     cert = fedder_check(g, args.p, force=args.force)
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("p", type=int)
     p.add_argument("--force", action="store_true", help="run even if the labeling is not closed")
-    p.add_argument("--big-prime", action="store_true", help="allow the expensive p=5 run")
     p.add_argument("--out", help="also write the certificate JSON to this file")
     add_json(p)
     p.set_defaults(func=cmd_fedder)

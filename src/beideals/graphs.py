@@ -3,16 +3,13 @@
 Provides the closedness predicates, a LexBFS search for closed labelings,
 admissible-path enumeration, and isomorphism-free generation of connected
 graphs via a canonical labeling (minimum upper-triangular adjacency
-bit-string over all vertex permutations).
+bit-string over all vertex permutations, found by branch and bound).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 
 # Largest n that enumerate_connected_graphs accepts.
@@ -236,16 +233,6 @@ def admissible_paths(g: Graph, i: int, j: int) -> list:
 # canonical labeling and enumeration up to isomorphism
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _perm_arrays(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-def _pair_weights(n: int) -> np.ndarray:
-    m = n * (n - 1) // 2
-    return 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-
-
 def adjacency_code(g: Graph) -> int:
     """Upper-triangular adjacency bits of the labeling as one integer.
 
@@ -264,33 +251,55 @@ def adjacency_code(g: Graph) -> int:
 
 
 def canonical_form(g: Graph):
-    """Minimum adjacency code over all n! relabelings.
+    """Minimum adjacency code over all n! relabelings, by branch and bound.
+
+    Positions 1..n are filled in order.  Bits between placed positions are
+    fixed, a placed row's c remaining ones go at best into its last c
+    columns, and an unplaced row is at best 0; that sum bounds every
+    completion from below.  Candidates are tried in order of it, and a
+    branch is cut once its bound reaches the best code found.  Of each twin
+    class (vertices with the same neighbours apart from each other) only
+    the first unused vertex is tried, since swapping twins is an
+    automorphism that fixes every placed vertex.
 
     Returns (code, sigma) where sigma is a permutation tuple (vertex v
     maps to sigma[v - 1]) achieving the minimum.
     """
     n = g.n
-    if n == 1:
-        return 0, (1,)
-    a = np.zeros((n, n), dtype=bool)
+    adj = [0] * n
     for i, j in g.edges:
-        a[i - 1, j - 1] = True
-        a[j - 1, i - 1] = True
-    perms = _perm_arrays(n)
-    b = a[perms[:, :, None], perms[:, None, :]]
-    iu, ju = np.triu_indices(n, 1)
-    codes = b[:, iu, ju].astype(np.int64) @ _pair_weights(n)
-    k = int(np.argmin(codes))
-    p = perms[k]
-    sigma = [0] * n
-    for new, old in enumerate(p):
-        sigma[old] = new + 1
-    return int(codes[k]), tuple(sigma)
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    twin = [next(u for u in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(n)]
+    # 2**low[k] is the weight of the last bit of row k (0-indexed positions)
+    low = [(n - 1 - k) * (n - 2 - k) // 2 for k in range(n)]
+    best = [1 << (n * (n - 1) // 2), ()]  # above every code
 
+    def place(order, unused, bound):
+        k = len(order)
+        if k == n:
+            best[:] = bound, order
+            return
+        options = []
+        tried = set()
+        for v in range(n):
+            if unused >> v & 1 and twin[v] not in tried:
+                tried.add(twin[v])
+                b = bound + (((1 << (adj[v] & unused).bit_count()) - 1) << low[k])
+                for i, u in enumerate(order):
+                    if adj[u] >> v & 1:  # row i's highest open one moves to column k
+                        c = (adj[u] & unused).bit_count()
+                        b += (1 << (low[i] + n - 1 - k)) - (1 << (low[i] + c - 1))
+                options.append((b, v))
+        for b, v in sorted(options):
+            if b >= best[0]:
+                break
+            place(order + (v,), unused & ~(1 << v), b)
 
-def canonical_graph(g: Graph) -> Graph:
-    _, sigma = canonical_form(g)
-    return relabel(g, sigma)
+    place((), (1 << n) - 1, 0)
+    code, order = best
+    return code, tuple(order.index(v) + 1 for v in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +325,9 @@ def enumerate_connected_graphs(n: int) -> tuple:
     Output is sorted by canonical adjacency code.  The underlying
     generation extends each (n-1)-vertex representative by one new vertex
     with every possible neighborhood, so it is exhaustive; n is capped at
-    ``ENUMERATION_LIMIT`` because canonicalization enumerates all n!
-    permutations.
+    ``ENUMERATION_LIMIT`` to bound the run time, since the class count
+    grows faster than exponentially (853 connected classes at n = 7, about
+    11,000 at n = 8).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")

@@ -114,9 +114,10 @@ def test_fedder_forced_cycle_fails_membership(c4, capsys):
 
 
 def test_fedder_prime_gates(p4, capsys):
-    assert main(["fedder", p4, "5"]) == 2
-    assert "--big-prime" in capsys.readouterr().err
+    assert main(["fedder", p4, "5"]) == 0
+    assert "certificate valid: yes" in capsys.readouterr().out
     assert main(["fedder", p4, "7"]) == 2
+    assert "supported primes" in capsys.readouterr().err
 
 
 def test_fpt_output(p4, capsys):

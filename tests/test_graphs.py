@@ -2,8 +2,10 @@
 
 The closed-labeling search is checked against a scan of all n! labelings,
 the admissible-path routine against a from-scratch oracle that enumerates
-every simple path and applies the three defining conditions verbatim, and
-the isomorphism-class enumeration against a scan of all edge subsets.
+every simple path and applies the three defining conditions verbatim, the
+branch-and-bound canonical form against a minimum over all n! relabelings,
+and the isomorphism-class enumeration against a scan of all edge subsets
+and the known class counts.
 """
 
 import itertools
@@ -18,7 +20,6 @@ from beideals import (
     admissible_paths,
     adjacency_code,
     canonical_form,
-    canonical_graph,
     enumerate_connected_graphs,
     find_closed_labeling,
     graph_from_json_dict,
@@ -48,6 +49,14 @@ def path_graph(n):
 
 def complete_graph(n):
     return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+
+
+def cycle_graph(n):
+    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
 
 
 # construction and predicates -------------------------------------------
@@ -249,7 +258,60 @@ def test_canonical_form_invariance():
             rng.shuffle(perm)
             h = relabel(g, tuple(perm))
             assert canonical_form(h)[0] == code
-            assert canonical_graph(h) == canonical_graph(g)
+            assert relabel(h, canonical_form(h)[1]) == relabel(g, sigma)
+
+
+def canonical_code_by_scan(g):
+    """The minimum adjacency code over all n! orders of the vertices."""
+    adjacent = g.edges | {(j, i) for i, j in g.edges}
+    pairs = list(itertools.combinations(range(g.n), 2))[::-1]  # least significant first
+    return min(
+        sum(1 << k for k, (a, b) in enumerate(pairs) if (order[a], order[b]) in adjacent)
+        for order in itertools.permutations(range(1, g.n + 1))
+    )
+
+
+def shuffled(g, rng):
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return relabel(g, tuple(perm))
+
+
+def test_canonical_form_against_scan_oracle():
+    rng = random.Random(11)
+    count = 0
+    for n in range(1, 7):
+        for g in _all_graphs_up_to_iso(n):  # disconnected graphs included
+            h = shuffled(g, rng)
+            code, sigma = canonical_form(h)
+            assert code == canonical_code_by_scan(h) == adjacency_code(g), g
+            assert adjacency_code(relabel(h, sigma)) == code, g
+            count += 1
+    assert count == 208
+
+
+def test_canonical_form_on_symmetric_graphs():
+    # twins everywhere (empty, complete, complete bipartite) or none
+    # (cycles, Petersen): the cases where pruning has to do the work
+    def family(n):
+        return [Graph(n, []), complete_graph(n), cycle_graph(n)] + [
+            complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)
+        ]
+
+    for n in range(3, 8):
+        for g in family(n):
+            assert canonical_form(g)[0] == canonical_code_by_scan(g), g
+    assert canonical_form(Graph(10, []))[0] == 0
+    assert canonical_form(complete_graph(10))[0] == (1 << 45) - 1
+    rng = random.Random(5)
+    for g in family(10) + [PETERSEN]:
+        code, sigma = canonical_form(g)
+        assert adjacency_code(relabel(g, sigma)) == code
+        for _ in range(3):
+            h = shuffled(g, rng)
+            start = time.perf_counter()
+            assert canonical_form(h)[0] == code, g
+            assert time.perf_counter() - start < 1.0, g
 
 
 def test_complete_graph_code_is_all_ones():
@@ -259,7 +321,10 @@ def test_complete_graph_code_is_all_ones():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    # OEIS A000088 (all graphs) and A001349 (connected graphs)
+    assert [len(_all_graphs_up_to_iso(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    counts = [len(enumerate_connected_graphs(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
 
 
 def test_enumeration_against_edge_mask_scan():
