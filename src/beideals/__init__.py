@@ -36,13 +36,10 @@ from .edgeideals import (
     fedder_check,
     fedder_witness,
     find_weight_vector,
-    groebner_ideal_basis,
-    initial_by_weight,
     initial_ideal_generators,
     pair_power_product,
     path_monomial,
     plucker_relation,
-    swap_congruence_holds,
 )
 from .fields import GF, QQ, PrimeField, RationalField
 from .graphs import (
@@ -66,7 +63,6 @@ from .groebner import (
     colon_contains,
     divmod_basis,
     frobenius_power,
-    is_groebner_basis,
     normal_form,
     not_in_bracket_m,
     s_polynomial,
@@ -77,7 +73,6 @@ from .polys import (
     Polynomial,
     format_monomial,
     format_poly,
-    lex_compare,
     parse_poly,
 )
 from .simplicial import SimplicialComplex, krull_dim, stanley_reisner
@@ -90,17 +85,15 @@ __all__ = [
     "graph_id", "rows_to_csv", "rows_to_json", "violations",
     "FedderCertificate", "GroebnerElement", "NotClosedError", "WeightVector",
     "admissible_groebner_basis", "edge_binomial", "edge_ideal_generators",
-    "fedder_check", "fedder_witness", "find_weight_vector", "groebner_ideal_basis",
-    "initial_by_weight", "initial_ideal_generators", "pair_power_product",
-    "path_monomial", "plucker_relation", "swap_congruence_holds",
+    "fedder_check", "fedder_witness", "find_weight_vector", "initial_ideal_generators",
+    "pair_power_product", "path_monomial", "plucker_relation",
     "GF", "QQ", "PrimeField", "RationalField",
     "AdmissiblePath", "Graph", "LimitExceededError", "admissible_paths",
     "adjacency_code", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",
     "IdealBasis", "buchberger", "colon_contains", "divmod_basis", "frobenius_power",
-    "is_groebner_basis", "normal_form", "not_in_bracket_m", "s_polynomial",
-    "Monomial", "PolyContext", "Polynomial", "format_monomial", "format_poly",
-    "lex_compare", "parse_poly",
+    "normal_form", "not_in_bracket_m", "s_polynomial",
+    "Monomial", "PolyContext", "Polynomial", "format_monomial", "format_poly", "parse_poly",
     "SimplicialComplex", "krull_dim", "stanley_reisner",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polys import mono_degree, mono_divides
 from .simplicial import (
     face_levels,
     homology_by_field,
@@ -162,10 +161,10 @@ class FptReport:
 def fpt_squarefree(mingens, nvars: int) -> FptReport:
     """F-pure threshold of a square-free monomial ideal from its minimal
     generators; the input must be minimal (no generator divides another)."""
-    gens = sorted(mingens, key=lambda m: (mono_degree(m), m))
+    gens = sorted(mingens, key=lambda m: (sum(m), m))
     for a, m in enumerate(gens):
         for b, m2 in enumerate(gens):
-            if a != b and mono_divides(m, m2):
+            if a != b and all(e <= e2 for e, e2 in zip(m, m2)):
                 raise ValueError(
                     "generators are not minimal: one divides another"
                 )

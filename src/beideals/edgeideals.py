@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 from .fields import GF, QQ
 from .graphs import AdmissiblePath, Graph, admissible_paths, is_closed_with_labeling, is_connected
-from .groebner import (
-    IdealBasis,
-    buchberger,
-    colon_contains,
-    frobenius_power,
-    normal_form,
-    not_in_bracket_m,
-)
-from .polys import Polynomial, PolyContext, mono_degree, mono_mul
+from .groebner import IdealBasis, frobenius_power, normal_form, not_in_bracket_m
+from .polys import Polynomial, PolyContext
 
 
 class NotClosedError(ValueError):
@@ -56,12 +49,12 @@ class GroebnerElement:
     """One reduced-basis element: the admissible path, its monomial u, and u * f_ij."""
 
     path: AdmissiblePath
-    path_monomial: tuple
+    path_monomial: int
     poly: Polynomial
 
 
-def path_monomial(ctx: PolyContext, path: AdmissiblePath) -> tuple:
-    """u for the path: x_k for interior k > j times y_k for interior k < i."""
+def path_monomial(ctx: PolyContext, path: AdmissiblePath) -> int:
+    """u for the path, packed: x_k for interior k > j times y_k for interior k < i."""
     powers = {}
     for k in path.interior:
         name = f"x{k}" if k > path.j else f"y{k}"
@@ -87,13 +80,6 @@ def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     return elems
 
 
-def groebner_ideal_basis(g: Graph, fld=QQ) -> IdealBasis:
-    """The admissible-path basis packaged as a marked IdealBasis."""
-    return IdealBasis(
-        [e.poly for e in admissible_groebner_basis(g, fld)], marked_groebner=True
-    )
-
-
 def initial_ideal_generators(g: Graph) -> list:
     """Minimal monomial generators of the lex initial ideal, as exponent tuples.
 
@@ -101,14 +87,17 @@ def initial_ideal_generators(g: Graph) -> list:
     square-free, and minimality (no generator divides another) is a theorem
     of Herzog, Hibi, Hreinsdottir, Kahle & Rauh (2010).
     """
-    ctx = PolyContext(g.n, QQ)
+    n = g.n
     gens = []
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            head = ctx.monomial(**{f"x{i}": 1, f"y{j}": 1})
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
             for path in admissible_paths(g, i, j):
-                gens.append(mono_mul(path_monomial(ctx, path), head))
-    gens.sort(key=lambda m: (mono_degree(m), m))
+                exps = [0] * (2 * n)
+                exps[i - 1] = exps[n + j - 1] = 1
+                for k in path.interior:
+                    exps[k - 1 if k > j else n + k - 1] = 1
+                gens.append(tuple(exps))
+    gens.sort(key=lambda m: (sum(m), m))
     return gens
 
 
@@ -206,6 +195,13 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     Requires g connected and its labeling closed; a non-closed labeling is
     refused unless ``force`` is set, in which case the computation runs
     anyway and the certificate records the failed hypothesis.
+
+    The reduced lex basis of the bracket power I^[p] is the termwise p-th
+    power of the admissible-path basis of I (which is the reduced basis
+    under any labeling), so no Buchberger run is needed: Frobenius is an
+    injective ring map that keeps lex order on monomials and fixes F_p, so
+    it maps S-polynomials to S-polynomials and standard representations to
+    standard representations, and a power of a reduced basis stays reduced.
     """
     if not is_connected(g):
         raise ValueError("the check needs a connected graph")
@@ -217,8 +213,8 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
             "labeling is not closed; rerun with force to compute anyway"
         )
     ctx = PolyContext(g.n, GF(p))
-    gens = edge_ideal_generators(ctx, g)
-    bracket_gb = buchberger(frobenius_power(gens, p))
+    basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
+    bracket_gb = frobenius_power(basis, p)
     witness = fedder_witness(g, p)
     memberships = {}
     for i, j in g.sorted_edges():
@@ -236,35 +232,6 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     )
 
 
-def swap_congruence_holds(g: Graph, vertices, pos: int, p: int) -> bool:
-    """Transposing an adjacent edge pair inside a vertex chain preserves the
-    chain product modulo the bracket power.
-
-    ``vertices`` is a chain (v_1, ..., v_s); ``pos`` is the 0-based index of
-    the left element of the swapped pair, which must be an edge of g and
-    must have a predecessor and a successor in the chain.  Checks that the
-    two chain products, each a product of f-powers with exponent p - 1,
-    agree modulo ideal^[p].
-    """
-    seq = tuple(vertices)
-    if len(seq) < 4:
-        raise ValueError("chain too short: the swap needs a neighbor on each side")
-    if not 1 <= pos <= len(seq) - 3:
-        raise ValueError(f"swap position {pos} has no neighbor on each side")
-    a, b = seq[pos], seq[pos + 1]
-    if not g.has_edge(a, b):
-        raise ValueError(f"swapped pair ({a}, {b}) is not an edge")
-    swapped = seq[:pos] + (b, a) + seq[pos + 2:]
-    ctx = PolyContext(g.n, GF(p))
-    lhs = pair_power_product(ctx, seq, p - 1)
-    rhs = pair_power_product(ctx, swapped, p - 1)
-    if lhs == rhs:
-        return True
-    gens = edge_ideal_generators(ctx, g)
-    bracket_gb = buchberger(frobenius_power(gens, p))
-    return normal_form(lhs - rhs, bracket_gb).is_zero()
-
-
 # ----------------------------------------------------------------------
 # weight vectors certifying the lex initial terms
 # ----------------------------------------------------------------------
@@ -275,14 +242,11 @@ class WeightVector:
     lex leading monomial of every element of a basis by weighted degree."""
 
     weights: tuple
+    ctx: PolyContext
 
-    def degree(self, m: tuple) -> int:
-        return sum(w * e for w, e in zip(self.weights, m))
-
-
-def initial_by_weight(f: Polynomial, w: WeightVector) -> tuple:
-    """Monomial of f maximizing (weighted degree, lex) in that order."""
-    return max(f.terms, key=lambda m: (w.degree(m), m))
+    def degree(self, m: int) -> int:
+        """Weighted degree of a packed monomial of the weights' ring."""
+        return sum(w * e for w, e in zip(self.weights, self.ctx.exponents(m)))
 
 
 def _dominates(w: WeightVector, polys) -> bool:
@@ -304,8 +268,9 @@ def find_weight_vector(elements) -> WeightVector:
     polys = [e.poly if isinstance(e, GroebnerElement) else e for e in elements]
     if not polys:
         raise ValueError("need a nonempty basis")
-    n = polys[0].ctx.n
-    closed = WeightVector(tuple(n - i for i in range(1, n + 1)) + (0,) * n)
+    ctx = polys[0].ctx
+    n = ctx.n
+    closed = WeightVector(tuple(n - i for i in range(1, n + 1)) + (0,) * n, ctx)
     if not _dominates(closed, polys):
         raise ValueError("the closed-form weights do not isolate every leading term")
     return closed

@@ -2,6 +2,8 @@
 
 The division algorithm processes the largest pending monomial first (via a
 heap), trying divisors in basis order, so normal forms are deterministic.
+Monomials are the packed ints of ``polys``, so the heap holds negated keys
+and a divisibility test is one subtraction masked with the guard bits.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
 on.
@@ -12,14 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .polys import (
-    Polynomial,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polys import EXP_LIMIT, FIELD_BITS, Polynomial, _check_exponents
 
 
 @dataclass(frozen=True)
@@ -62,6 +57,79 @@ class IdealBasis:
         return self.polys[0].ctx
 
 
+def _division_table(divisors) -> list:
+    """(leading monomial, inverse leading coefficient, tail with negated
+    coefficients) for each divisor, in order."""
+    table = []
+    for b in divisors:
+        lm = b.lm()
+        table.append((lm, _inverse_lc(b), [(m, -c) for m, c in b.terms.items() if m != lm]))
+    return table
+
+
+def _inverse_lc(f: Polynomial):
+    c = f.lc()
+    return c if c == 1 else f.ctx.field.inv(c)
+
+
+def _divide(f: Polynomial, table: list, quotients=None) -> dict:
+    """Remainder terms of f on division by the table's divisors.
+
+    Terms are taken largest first and each goes to the first divisor whose
+    leading monomial divides it.  Coefficients are summed unreduced while
+    pending; a term is reduced mod p when it is taken, so a term that
+    cancelled is skipped then.  Every term a step adds is below the term it
+    removes, so no monomial is taken twice; a new term whose exponent would
+    reach 2^15 raises ValueError.  When ``quotients`` is given,
+    quotients[i] receives divisor i's quotient terms.
+    """
+    ctx = f.ctx
+    p = ctx.field.char
+    guard = ctx.guard
+    pending = dict(f.terms)
+    heap = [-m for m in pending]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    remainder = {}
+    while heap:
+        m = -pop(heap)
+        c = pending.pop(m)
+        if p:
+            c %= p
+        if not c:
+            continue
+        for idx, (lm_b, lc_inv, tail) in enumerate(table):
+            shift = m - lm_b
+            if shift & guard:
+                continue
+            q = c * lc_inv
+            if p:
+                q %= p
+            if quotients is not None:
+                quotients[idx][shift] = q
+            for mb, neg_cb in tail:
+                key = shift + mb
+                if key in pending:
+                    pending[key] += q * neg_cb
+                else:
+                    if key & guard:
+                        raise ValueError("an exponent would reach 2^15")
+                    pending[key] = q * neg_cb
+                    push(heap, -key)
+            break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _check_divisors(ctx, divisors) -> None:
+    for b in divisors:
+        if b.ctx != ctx:
+            raise ValueError("divisor from a different ring")
+        if b.is_zero():
+            raise ValueError("zero divisor polynomial")
+
+
 def divmod_basis(f: Polynomial, divisors) -> tuple:
     """Divide f by an ordered list of polynomials.
 
@@ -71,50 +139,13 @@ def divmod_basis(f: Polynomial, divisors) -> tuple:
     """
     divisors = list(divisors)
     ctx = f.ctx
-    for b in divisors:
-        if b.ctx != ctx:
-            raise ValueError("divisor from a different ring")
-        if b.is_zero():
-            raise ValueError("zero divisor polynomial")
-    fld = ctx.field
-    lead = [(b.lm(), fld.inv(b.lc()), b) for b in divisors]
-
-    pending = dict(f.terms)
-    heap = [tuple(-e for e in m) for m in pending]
-    heapq.heapify(heap)
+    _check_divisors(ctx, divisors)
     quotients = [dict() for _ in divisors]
-    remainder = {}
-
-    while heap:
-        m = tuple(-e for e in heapq.heappop(heap))
-        if m not in pending:
-            continue
-        c = pending.pop(m)
-        for idx, (lm_b, lc_inv, b) in enumerate(lead):
-            if mono_divides(lm_b, m):
-                shift = mono_div(m, lm_b)
-                q = fld.mul(c, lc_inv)
-                qd = quotients[idx]
-                qd[shift] = fld.add(qd.get(shift, fld.zero), q) if shift in qd else q
-                for mb, cb in b.terms.items():
-                    if mb == lm_b:
-                        continue
-                    key = mono_mul(shift, mb)
-                    delta = fld.neg(fld.mul(q, cb))
-                    if key in pending:
-                        s = fld.add(pending[key], delta)
-                        if s != 0:
-                            pending[key] = s
-                        else:
-                            del pending[key]
-                    else:
-                        pending[key] = delta
-                        heapq.heappush(heap, tuple(-e for e in key))
-                break
-        else:
-            remainder[m] = c
-
-    return [Polynomial(ctx, q) for q in quotients], Polynomial(ctx, remainder)
+    remainder = _divide(f, _division_table(divisors), quotients)
+    return (
+        [Polynomial._from_sums(ctx, q) for q in quotients],
+        Polynomial._from_sums(ctx, remainder),
+    )
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -122,8 +153,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     divisors = basis.polys if isinstance(basis, IdealBasis) else list(basis)
     if not divisors:
         return f
-    _, r = divmod_basis(f, divisors)
-    return r
+    _check_divisors(f.ctx, divisors)
+    return Polynomial._from_sums(f.ctx, _divide(f, _division_table(divisors)))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -131,11 +162,17 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("polynomials from different rings")
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
-    fld = f.ctx.field
-    lcm = mono_lcm(f.lm(), g.lm())
-    left = f.times_term(mono_div(lcm, f.lm()), fld.inv(f.lc()))
-    right = g.times_term(mono_div(lcm, g.lm()), fld.inv(g.lc()))
-    return left - right
+    ctx = f.ctx
+    lcm = ctx.lcm(f.lm(), g.lm())
+    shift_f, inv_f = lcm - f.lm(), _inverse_lc(f)
+    shift_g, inv_g = lcm - g.lm(), _inverse_lc(g)
+    out = {m + shift_f: c * inv_f for m, c in f.terms.items()}
+    get = out.get
+    for m, c in g.terms.items():
+        key = m + shift_g
+        out[key] = get(key, 0) - c * inv_g
+    _check_exponents(ctx, out)
+    return Polynomial._from_sums(ctx, out)
 
 
 def buchberger(basis: IdealBasis) -> IdealBasis:
@@ -143,30 +180,35 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
 
     Pairs are processed by (lcm degree, lcm, indices); pairs with coprime
     leading monomials are skipped.  The result is interreduced and monic,
-    hence canonical.
+    hence canonical.  The division table grows with the basis, so each
+    divisor's leading data is set up once per run.
     """
-    gens = [p.monic() for p in basis.polys]
-    work = list(gens)
+    work = [p.monic() for p in basis.polys]
+    if not work:
+        return IdealBasis([], marked_groebner=True)
+    ctx = work[0].ctx
+    table = _division_table(work)
     heap = []
     for a in range(len(work)):
         for b in range(a + 1, len(work)):
-            lcm = mono_lcm(work[a].lm(), work[b].lm())
-            heapq.heappush(heap, (mono_degree(lcm), lcm, a, b))
+            lcm = ctx.lcm(work[a].lm(), work[b].lm())
+            heapq.heappush(heap, (ctx.degree(lcm), lcm, a, b))
 
     while heap:
         _, lcm, a, b = heapq.heappop(heap)
         fa, fb = work[a], work[b]
-        if mono_mul(fa.lm(), fb.lm()) == lcm:
+        if fa.lm() + fb.lm() == lcm:
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = normal_form(s_polynomial(fa, fb), work)
+        r = Polynomial._from_sums(ctx, _divide(s_polynomial(fa, fb), table))
         if r.is_zero():
             continue
         r = r.monic()
         work.append(r)
+        table += _division_table([r])
         t = len(work) - 1
         for a2 in range(t):
-            lcm2 = mono_lcm(work[a2].lm(), r.lm())
-            heapq.heappush(heap, (mono_degree(lcm2), lcm2, a2, t))
+            lcm2 = ctx.lcm(work[a2].lm(), r.lm())
+            heapq.heappush(heap, (ctx.degree(lcm2), lcm2, a2, t))
 
     return IdealBasis(_interreduce(work), marked_groebner=True)
 
@@ -175,10 +217,11 @@ def _interreduce(polys) -> list:
     """Minimalize by leading-monomial divisibility, then tail-reduce."""
     if not polys:
         return []
-    ordered = sorted(polys, key=lambda p: (mono_degree(p.lm()), p.lm()))
+    ctx = polys[0].ctx
+    ordered = sorted(polys, key=lambda p: (ctx.degree(p.lm()), p.lm()))
     minimal = []
     for p in ordered:
-        if not any(mono_divides(q.lm(), p.lm()) for q in minimal):
+        if not any(ctx.divides(q.lm(), p.lm()) for q in minimal):
             minimal.append(p)
     reduced = []
     for k, p in enumerate(minimal):
@@ -186,16 +229,6 @@ def _interreduce(polys) -> list:
         r = normal_form(p, others) if others else p
         reduced.append(r.monic())
     return reduced
-
-
-def is_groebner_basis(basis: IdealBasis) -> bool:
-    """Literal Buchberger criterion: every S-polynomial reduces to zero."""
-    polys = basis.polys
-    for a in range(len(polys)):
-        for b in range(a + 1, len(polys)):
-            if not normal_form(s_polynomial(polys[a], polys[b]), polys).is_zero():
-                return False
-    return True
 
 
 def _power_of_char(q: int, p: int) -> bool:
@@ -211,7 +244,8 @@ def frobenius_power(basis: IdealBasis, q: int) -> IdealBasis:
 
     Needs finite characteristic p with q a power of p; then raising to the
     q-th power is the e-fold Frobenius, so g^q is computed termwise
-    (coefficients in F_p are fixed by x -> x^p).
+    (coefficients in F_p are fixed by x -> x^p): a packed key times q is
+    the key of the q-th power as long as no exponent reaches 2^15.
     """
     ctx = basis.ctx if basis.polys else None
     if ctx is None:
@@ -221,11 +255,10 @@ def frobenius_power(basis: IdealBasis, q: int) -> IdealBasis:
         raise ValueError("bracket powers need finite characteristic")
     if not _power_of_char(q, p):
         raise ValueError(f"q={q} is not a positive power of the characteristic {p}")
-    powered = [
-        Polynomial(ctx, {tuple(e * q for e in m): c for m, c in g.terms.items()})
-        for g in basis.polys
-    ]
-    return IdealBasis(powered)
+    for g in basis.polys:
+        if any(max(ctx.exponents(m)) * q >= EXP_LIMIT for m in g.terms):
+            raise ValueError(f"the {q}-th power would give an exponent of 2^15 or more")
+    return IdealBasis(Polynomial(ctx, {m * q: c for m, c in g.terms.items()}) for g in basis.polys)
 
 
 def colon_contains(f: Polynomial, gens: IdealBasis, groebner_of_target: IdealBasis) -> bool:
@@ -244,10 +277,17 @@ def not_in_bracket_m(f: Polynomial, q: int) -> bool:
 
     m^[q] is spanned by monomials divisible by some variable power v^q, so f
     avoids it exactly when some term of f has every exponent <= q - 1.
+    Adding 2^15 - q to every field of a packed key sets a guard bit exactly
+    where an exponent is q or more.
     """
-    p = f.ctx.field.char
+    ctx = f.ctx
+    p = ctx.field.char
     if p == 0:
         raise ValueError("bracket powers need finite characteristic")
     if not _power_of_char(q, p):
         raise ValueError(f"q={q} is not a positive power of the characteristic {p}")
-    return any(all(e < q for e in m) for m in f.terms)
+    if q >= EXP_LIMIT:
+        return not f.is_zero()
+    guard = ctx.guard
+    lift = (guard >> (FIELD_BITS - 1)) * (EXP_LIMIT - q)
+    return any(not (m + lift) & guard for m in f.terms)

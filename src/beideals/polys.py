@@ -1,33 +1,40 @@
 """Multivariate polynomials in K[x_1..x_n, y_1..y_n] under lex order.
 
 The monomial order everywhere is lexicographic with
-x_1 > x_2 > ... > x_n > y_1 > ... > y_n.  A monomial is a bare tuple of 2n
-exponents, x-block first; with that layout Python's tuple comparison agrees
-with the lex order, which keeps leading-term computations cheap.
+x_1 > x_2 > ... > x_n > y_1 > ... > y_n.  Inside a Polynomial a monomial is
+one packed int: each of the 2n exponents owns a fixed 16-bit field, 15 bits
+of exponent under one guard bit, with x_1 in the most significant field.
+With that layout lex order is int order, a product of monomials is one
+addition, and a | b is one subtraction masked with the guard bits: where a
+field of a exceeds b's, the borrow sets that field's guard bit.  A product,
+power or reduction step that would give an exponent of 2^15 or more raises
+ValueError; there is no wider layout.
+
+Exponent tuples (x-block first) stay the public form outside Polynomial:
+``PolyContext.exponents`` converts a packed key, ``format_monomial`` prints
+a tuple, and the square-free monomial ideals of the Betti layer are tuples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .fields import QQ, GF, PrimeField, RationalField
 
-Monomial = tuple
+FIELD_BITS = 16
+EXP_LIMIT = 1 << (FIELD_BITS - 1)  # exponents are < 2^15; the top bit is the guard
+EXP_MASK = EXP_LIMIT - 1
+
+Monomial = int
 
 __all__ = [
     "Monomial",
     "PolyContext",
     "Polynomial",
-    "lex_compare",
-    "mono_mul",
-    "mono_divides",
-    "mono_div",
-    "mono_lcm",
-    "mono_degree",
-    "mono_is_squarefree",
-    "mono_support",
     "format_monomial",
     "format_poly",
     "parse_poly",
@@ -42,18 +49,30 @@ class PolyContext:
 
     The polynomial ring has 2n variables; index k < n is x_{k+1} and index
     n + k is y_{k+1}.  Vertices, hence variable subscripts, are 1-indexed.
+    Variable k sits in the packed field ``shift(k)`` bits up; ``guard`` has
+    the guard bit of every field set.
     """
 
     n: int
     field: RationalField | PrimeField
+    guard: int = dataclass_field(init=False, repr=False, compare=False)
+    _pairs: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
+        guard = sum(EXP_LIMIT << (FIELD_BITS * k) for k in range(self.nvars))
+        object.__setattr__(self, "guard", guard)
+        # every other field (its low half of each 32 bits), for degree()
+        pairs = sum(0xFFFF << (2 * FIELD_BITS * k) for k in range((self.nvars + 1) // 2))
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def nvars(self) -> int:
         return 2 * self.n
+
+    def shift(self, idx: int) -> int:
+        return FIELD_BITS * (self.nvars - 1 - idx)
 
     def var_name(self, idx: int) -> str:
         if not 0 <= idx < self.nvars:
@@ -70,13 +89,35 @@ class PolyContext:
         return sub - 1 if m.group(1) == "x" else self.n + sub - 1
 
     def monomial(self, **powers: int) -> Monomial:
-        """Build an exponent tuple from keyword powers, e.g. x1=2, y3=1."""
-        exps = [0] * self.nvars
+        """Packed key from keyword powers, e.g. x1=2, y3=1."""
+        key = 0
         for name, e in powers.items():
             if e < 0:
                 raise ValueError("negative exponent")
-            exps[self.var_index(name)] += e
-        return tuple(exps)
+            if e >= EXP_LIMIT:
+                raise ValueError(f"exponent {e} of {name} does not fit below 2^15")
+            key += e << self.shift(self.var_index(name))
+        return key
+
+    def exponents(self, key: Monomial) -> tuple:
+        """The exponent tuple of a packed key, x-block first."""
+        return tuple(key >> s & EXP_MASK for s in range(self.shift(0), -1, -FIELD_BITS))
+
+    def degree(self, key: Monomial) -> int:
+        """Total degree of a packed key.
+
+        Adding the odd fields onto the even ones leaves 32-bit slots that
+        cannot overflow, and 2^32 = 1 mod 2^32 - 1 sums the slots exactly.
+        """
+        return ((key & self._pairs) + (key >> FIELD_BITS & self._pairs)) % 0xFFFFFFFF
+
+    def divides(self, a: Monomial, b: Monomial) -> bool:
+        return not (b - a) & self.guard
+
+    def lcm(self, a: Monomial, b: Monomial) -> Monomial:
+        ge = (a + self.guard - b) & self.guard  # guard bit set where a's field >= b's
+        mask = ge - (ge >> (FIELD_BITS - 1))  # those fields all ones below the guard
+        return (a & mask) | (b & ~mask)
 
     def x(self, i: int) -> "Polynomial":
         return self.variable(self.var_index(f"x{i}"))
@@ -85,60 +126,23 @@ class PolyContext:
         return self.variable(self.var_index(f"y{i}"))
 
     def variable(self, idx: int) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[idx] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return Polynomial(self, {1 << self.shift(idx): self.field.one})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one})
+        return Polynomial(self, {0: self.field.one})
 
 
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """Return -1, 0 or 1 comparing two monomials of the same ring."""
-    if len(a) != len(b):
-        raise ValueError("monomials from different rings")
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(p + q for p, q in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(p <= q for p, q in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    out = tuple(p - q for p, q in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError("monomial division with remainder")
-    return out
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(p, q) for p, q in zip(a, b))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_is_squarefree(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
-
-
-def mono_support(m: Monomial) -> tuple:
-    return tuple(i for i, e in enumerate(m) if e)
+def _check_exponents(ctx: PolyContext, keys) -> None:
+    """Sums of valid keys set a guard bit exactly where an exponent reached 2^15."""
+    if reduce(or_, keys, 0) & ctx.guard:
+        raise ValueError("an exponent would reach 2^15")
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to coefficient.
+    """Immutable sparse polynomial: dict from packed monomial to coefficient.
 
     Construction normalizes coefficients through the context field and drops
     zeros, so equal polynomials always have equal term dicts.
@@ -148,13 +152,30 @@ class Polynomial:
 
     def __init__(self, ctx: PolyContext, terms: dict):
         field = ctx.field
+        top = 1 << (FIELD_BITS * ctx.nvars)
         clean = {}
         for m, c in terms.items():
             c = field.coerce(c) if not _is_native(field, c) else c
             if c != 0:
-                if len(m) != ctx.nvars:
-                    raise ValueError("monomial length does not match ring")
+                if type(m) is not int or not 0 <= m < top or m & ctx.guard:
+                    raise ValueError("monomial key does not belong to the ring")
                 clean[m] = c
+        self._set(ctx, clean)
+
+    @classmethod
+    def _from_sums(cls, ctx: PolyContext, sums: dict) -> "Polynomial":
+        """Wrap a dict of valid keys whose coefficients are sums and products
+        of field elements: reduce them mod p and drop the zeros."""
+        p = ctx.field.char
+        if p:
+            clean = {m: c % p for m, c in sums.items() if c % p}
+        else:
+            clean = {m: c for m, c in sums.items() if c}
+        out = object.__new__(cls)
+        out._set(ctx, clean)
+        return out
+
+    def _set(self, ctx, clean):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lm", max(clean) if clean else None)
@@ -180,17 +201,15 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(self.ctx.degree, self.terms))
 
     def monic(self) -> "Polynomial":
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
         c = self.lc()
-        if c == self.ctx.field.one:
+        if c == 1:
             return self
-        inv = self.ctx.field.inv(c)
-        mul = self.ctx.field.mul
-        return Polynomial(self.ctx, {m: mul(v, inv) for m, v in self.terms.items()})
+        return self.scale(self.ctx.field.inv(c))
 
     def _check(self, other: "Polynomial"):
         if self.ctx != other.ctx:
@@ -198,67 +217,46 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        add = self.ctx.field.add
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = add(out.get(m, 0), c) if m in out else c
-            if s != 0:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ctx, out)
+            out[m] = get(m, 0) + c
+        return Polynomial._from_sums(self.ctx, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ctx.field.neg
-        return Polynomial(self.ctx, {m: neg(c) for m, c in self.terms.items()})
+        return Polynomial._from_sums(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        field = self.ctx.field
-        mul, add = field.mul, field.add
         out: dict = {}
-        small, big = self.terms, other.terms
+        get = out.get
+        small, big = self.terms.items(), other.terms.items()
         if len(small) > len(big):
             small, big = big, small
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                key = tuple(p + q for p, q in zip(m1, m2))
-                if key in out:
-                    s = add(out[key], mul(c1, c2))
-                    if s != 0:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = mul(c1, c2)
-        return Polynomial(self.ctx, out)
+        for m1, c1 in small:
+            for m2, c2 in big:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        _check_exponents(self.ctx, out)
+        return Polynomial._from_sums(self.ctx, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        field = self.ctx.field
-        c = field.coerce(c)
-        if c == 0:
-            return Polynomial(self.ctx, {})
-        mul = field.mul
-        return Polynomial(self.ctx, {m: mul(v, c) for m, v in self.terms.items()})
+        c = self.ctx.field.coerce(c)
+        return Polynomial._from_sums(self.ctx, {m: v * c for m, v in self.terms.items()})
 
     def times_term(self, m: Monomial, c) -> "Polynomial":
         """Multiply by the single term c * x^m."""
-        field = self.ctx.field
-        c = field.coerce(c)
-        if c == 0:
-            return Polynomial(self.ctx, {})
-        mul = field.mul
-        return Polynomial(
-            self.ctx,
-            {tuple(p + q for p, q in zip(m, key)): mul(v, c) for key, v in self.terms.items()},
-        )
+        c = self.ctx.field.coerce(c)
+        out = {key + m: v * c for key, v in self.terms.items()}
+        _check_exponents(self.ctx, out)
+        return Polynomial._from_sums(self.ctx, out)
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
@@ -300,7 +298,8 @@ def _is_native(field, c) -> bool:
 # terms in descending lex order; parse_poly inverts format_poly exactly.
 # ----------------------------------------------------------------------
 
-def format_monomial(ctx: PolyContext, m: Monomial) -> str:
+def format_monomial(ctx: PolyContext, m: tuple) -> str:
+    """Print an exponent tuple, e.g. (1, 0, 0, 2) as ``x1*y2^2``."""
     parts = []
     for idx, e in enumerate(m):
         if e == 0:
@@ -316,7 +315,7 @@ def format_poly(f: Polynomial) -> str:
     chunks = []
     for m in sorted(f.terms, reverse=True):
         c = f.terms[m]
-        mono = format_monomial(f.ctx, m)
+        mono = format_monomial(f.ctx, f.ctx.exponents(m))
         negative = c < 0
         mag = -c if negative else c
         if mono == "1":
@@ -415,7 +414,7 @@ def parse_poly(ctx: PolyContext, text: str) -> Polynomial:
             raise ValueError("term ends with '*'")
         if not saw_factor:
             raise ValueError("empty term in polynomial text")
-        key = tuple(exps)
+        key = ctx.monomial(**{ctx.var_name(k): e for k, e in enumerate(exps) if e})
         prev = terms.get(key, Fraction(0))
         terms[key] = prev + coeff
 

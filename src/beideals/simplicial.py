@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import GF
-from .polys import mono_is_squarefree, mono_support
 
 
 def support_masks(mingens, nvars: int) -> list:
@@ -25,11 +24,12 @@ def support_masks(mingens, nvars: int) -> list:
     for m in mingens:
         if len(m) != nvars:
             raise ValueError("generator does not match the variable count")
-        if not mono_is_squarefree(m):
+        if any(e > 1 for e in m):
             raise ValueError(f"generator {m} is not square-free")
         mask = 0
-        for v in mono_support(m):
-            mask |= 1 << v
+        for v, e in enumerate(m):
+            if e:
+                mask |= 1 << v
         if mask == 0:
             raise ValueError("constant generator: the ideal is the unit ideal")
         masks.append(mask)

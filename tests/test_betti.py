@@ -35,7 +35,7 @@ K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
 def test_single_generator_is_koszul():
     ctx = PolyContext(2, QQ)
-    t = betti_table([ctx.monomial(x1=1, y2=1)], 4, QQ)
+    t = betti_table([ctx.exponents(ctx.monomial(x1=1, y2=1))], 4, QQ)
     assert t.as_dict() == {(0, 0): 1, (1, 2): 1}
     assert regularity(t) == 1
     assert homological_summary(t) == {"regularity": 1, "pd": 1, "type": 1}
@@ -162,7 +162,7 @@ def test_fpt_counts_absent_variables():
 
 def test_fpt_zero_when_every_variable_appears():
     ctx = PolyContext(2, QQ)
-    gens = [ctx.monomial(x1=1, y1=1), ctx.monomial(x2=1, y2=1)]
+    gens = [ctx.exponents(ctx.monomial(x1=1, y1=1)), ctx.exponents(ctx.monomial(x2=1, y2=1))]
     assert fpt_squarefree(gens, 4).fpt == 0
 
 
@@ -188,7 +188,7 @@ def test_fpt_tracks_simplicial_endpoints():
 
 def test_fpt_rejects_non_minimal_input():
     ctx = PolyContext(2, QQ)
-    gens = [ctx.monomial(x1=1), ctx.monomial(x1=1, y2=1)]
+    gens = [ctx.exponents(ctx.monomial(x1=1)), ctx.exponents(ctx.monomial(x1=1, y2=1))]
     with pytest.raises(ValueError):
         fpt_squarefree(gens, 4)
 

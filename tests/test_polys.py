@@ -5,17 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from beideals import GF, QQ, PolyContext, Polynomial, format_poly, lex_compare, parse_poly
+from beideals import GF, QQ, PolyContext, Polynomial, format_poly, parse_poly
 from beideals.fields import PrimeField, is_prime
-from beideals.polys import (
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_is_squarefree,
-    mono_lcm,
-    mono_mul,
-    mono_support,
-)
+from tuple_polys import from_packed, mono_degree, mono_divides, mono_lcm, pack
 
 
 def random_poly(ctx, rng, nterms=4, maxdeg=2):
@@ -25,7 +17,7 @@ def random_poly(ctx, rng, nterms=4, maxdeg=2):
         for _ in range(maxdeg):
             exps[rng.randrange(ctx.nvars)] += 1
         c = rng.randint(-5, 5)
-        f = f + Polynomial(ctx, {tuple(exps): ctx.field.coerce(c)})
+        f = f + Polynomial(ctx, {pack(ctx, exps): ctx.field.coerce(c)})
     return f
 
 
@@ -95,37 +87,73 @@ def test_lex_order_x_before_y():
     x2 = ctx.monomial(x2=1)
     y1 = ctx.monomial(y1=1)
     y3 = ctx.monomial(y3=1)
-    assert lex_compare(x1, x2) > 0
-    assert lex_compare(x2, y1) > 0
-    assert lex_compare(y1, y3) > 0
-    assert lex_compare(y3, y3) == 0
+    assert x1 > x2 > y1 > y3
     # a single x1 beats any power of later variables
-    assert lex_compare(x1, ctx.monomial(x2=9, y3=9)) > 0
+    assert x1 > ctx.monomial(x2=2**15 - 1, y1=2**15 - 1, y3=2**15 - 1)
 
 
 def test_tuple_comparison_matches_lex():
+    # packed keys compare as ints exactly as their exponent tuples compare
     ctx = PolyContext(2, QQ)
     rng = random.Random(11)
     for _ in range(200):
         a = tuple(rng.randrange(4) for _ in range(ctx.nvars))
         c = tuple(rng.randrange(4) for _ in range(ctx.nvars))
         want = (a > c) - (a < c)
-        assert lex_compare(a, c) == want
+        ka, kc = pack(ctx, a), pack(ctx, c)
+        assert (ka > kc) - (ka < kc) == want
+        assert ctx.exponents(ka) == a
+
+
+def random_exponents(rng, nvars, top):
+    edge = [0, 1, 2, top // 2, top - 1]
+    return tuple(rng.choice(edge) if rng.random() < 0.5 else rng.randrange(top) for _ in range(nvars))
 
 
 def test_monomial_helpers():
     ctx = PolyContext(2, QQ)
     a = ctx.monomial(x1=2, y2=1)
     c = ctx.monomial(x1=1, x2=1)
-    assert mono_mul(a, c) == ctx.monomial(x1=3, x2=1, y2=1)
-    assert mono_divides(c, mono_mul(a, c))
-    assert not mono_divides(a, c)
-    assert mono_div(mono_mul(a, c), c) == a
-    assert mono_lcm(a, c) == ctx.monomial(x1=2, x2=1, y2=1)
-    assert mono_degree(a) == 3
-    assert mono_support(a) == (0, 3)
-    assert mono_is_squarefree(c)
-    assert not mono_is_squarefree(a)
+    assert a + c == ctx.monomial(x1=3, x2=1, y2=1)
+    assert ctx.divides(c, a + c)
+    assert not ctx.divides(a, c)
+    assert ctx.lcm(a, c) == ctx.monomial(x1=2, x2=1, y2=1)
+    assert ctx.degree(a) == 3
+    assert ctx.exponents(a) == (2, 0, 0, 1)
+    # the guard-bit tricks against the tuple definitions, up to 2^15 - 1
+    rng = random.Random(17)
+    for n in (1, 2, 3, 7):
+        ctx = PolyContext(n, QQ)
+        for _ in range(300):
+            ea = random_exponents(rng, ctx.nvars, 2**15)
+            ec = random_exponents(rng, ctx.nvars, 2**15)
+            if rng.random() < 0.3:
+                ec = tuple(max(p, q) for p, q in zip(ea, ec))  # a divides c
+            ka, kc = pack(ctx, ea), pack(ctx, ec)
+            assert ctx.exponents(ka) == ea
+            assert ctx.divides(ka, kc) == mono_divides(ea, ec)
+            assert ctx.lcm(ka, kc) == pack(ctx, mono_lcm(ea, ec))
+            assert ctx.degree(ka) == mono_degree(ea)
+
+
+def test_exponent_overflow_raises():
+    ctx = PolyContext(2, GF(2))
+    x1, y2 = ctx.x(1), ctx.y(2)
+    assert (x1 ** (2**15 - 1)).lm() == ctx.monomial(x1=2**15 - 1)
+    with pytest.raises(ValueError):
+        x1 ** (2**15)
+    big = x1 ** (2**14) * y2 ** (2**15 - 1)
+    with pytest.raises(ValueError):
+        big * x1 ** (2**14)  # x1 would reach 2^15; y2's field is already full
+    with pytest.raises(ValueError):
+        big * y2
+    with pytest.raises(ValueError):
+        big.times_term(ctx.monomial(x1=2**14), 1)
+    assert (big * x1 ** (2**14 - 1)).lm() == ctx.monomial(x1=2**15 - 1, y2=2**15 - 1)
+    with pytest.raises(ValueError):
+        ctx.monomial(x1=2**15)
+    with pytest.raises(ValueError):
+        parse_poly(ctx, "x1^32768")
 
 
 def test_monomial_builder_validates():
@@ -191,10 +219,23 @@ def test_freshman_dream_in_char_p():
         f = ctx.x(1) + 2 * ctx.y(1) if p != 2 else ctx.x(1) + ctx.y(1)
         g = f ** p
         expect = sum(
-            (Polynomial(ctx, {tuple(e * p for e in m): c}) for m, c in f.terms.items()),
+            (Polynomial(ctx, {pack(ctx, [e * p for e in ctx.exponents(m)]): c})
+             for m, c in f.terms.items()),
             ctx.zero(),
         )
         assert g == expect
+
+
+def test_mul_matches_tuple_reference():
+    rng = random.Random(41)
+    for fld in (QQ, GF(2), GF(5)):
+        ctx = PolyContext(3, fld)
+        for _ in range(40):
+            f = random_poly(ctx, rng, nterms=6, maxdeg=3)
+            g = random_poly(ctx, rng, nterms=5, maxdeg=2)
+            assert from_packed(f * g) == from_packed(f) * from_packed(g)
+            assert from_packed(f + g) == from_packed(f) + from_packed(g)
+            assert from_packed(f - g) == from_packed(f) - from_packed(g)
 
 
 def test_times_term():

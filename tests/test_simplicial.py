@@ -43,7 +43,7 @@ def faces_of(facets):
 
 def test_single_edge_complex():
     ctx = PolyContext(2, QQ)
-    gens = [ctx.monomial(x1=1, y2=1)]
+    gens = [ctx.exponents(ctx.monomial(x1=1, y2=1))]
     sc = stanley_reisner(gens, 4)
     # variable indexing: x1 x2 y1 y2 -> 0 1 2 3
     assert set(sc.facets) == {(0, 1, 2), (1, 2, 3)}
