@@ -32,8 +32,9 @@ def edge_binomial(ctx: PolyContext, i: int, j: int) -> Polynomial:
     if not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
         raise ValueError(f"endpoints ({i}, {j}) out of range for n={ctx.n}")
     one = ctx.field.one
-    pos = ctx.monomial(**{f"x{i}": 1, f"y{j}": 1})
-    neg = ctx.monomial(**{f"x{j}": 1, f"y{i}": 1})
+    n, shift = ctx.n, ctx.shift
+    pos = (1 << shift(i - 1)) + (1 << shift(n + j - 1))  # x_i * y_j
+    neg = (1 << shift(j - 1)) + (1 << shift(n + i - 1))  # x_j * y_i
     return Polynomial(ctx, {pos: one, neg: ctx.field.neg(one)})
 
 
@@ -55,11 +56,8 @@ class GroebnerElement:
 
 def path_monomial(ctx: PolyContext, path: AdmissiblePath) -> int:
     """u for the path, packed: x_k for interior k > j times y_k for interior k < i."""
-    powers = {}
-    for k in path.interior:
-        name = f"x{k}" if k > path.j else f"y{k}"
-        powers[name] = 1
-    return ctx.monomial(**powers)
+    n, j = ctx.n, path.j
+    return sum(1 << ctx.shift(k - 1 if k > j else n + k - 1) for k in path.interior)
 
 
 def admissible_groebner_basis(g: Graph, fld=QQ) -> list:

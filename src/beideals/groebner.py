@@ -6,7 +6,11 @@ Monomials are the packed ints of ``polys``, so the heap holds negated keys
 and a divisibility test is one subtraction masked with the guard bits.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
-on.
+on.  It skips the S-pairs that the Gebauer-Moeller criteria (J. Symbolic
+Comput. 6, 1988) show to reduce to zero: the chain criterion on pending
+pairs, proper divisibility and equality among the new pairs' lcms, and
+coprime leading monomials.  Skipping them changes which Groebner basis is
+found on the way, never the reduced basis made from it.
 """
 
 from __future__ import annotations
@@ -178,56 +182,113 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(basis: IdealBasis) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by ``basis``.
 
-    Pairs are processed by (lcm degree, lcm, indices); pairs with coprime
-    leading monomials are skipped.  The result is interreduced and monic,
-    hence canonical.  The division table grows with the basis, so each
-    divisor's leading data is set up once per run.
+    The generators enter one at a time, and so does every nonzero remainder;
+    each entry runs the Gebauer-Moeller update (``_update``), which keeps
+    only the S-pairs the criteria cannot prove redundant.  A dropped pair's
+    S-polynomial has a representation through pairs that are kept, so the
+    basis found is still a Groebner basis, and the reduced basis made from
+    it is the same: the reduced basis is unique for the ideal and the order.
+    Pairs are processed by (lcm degree, lcm, indices).  The division table
+    holds every element found, including those the update takes out of pair
+    generation, so each divisor's leading data is set up once per run.
     """
     work = [p.monic() for p in basis.polys]
     if not work:
         return IdealBasis([], marked_groebner=True)
     ctx = work[0].ctx
     table = _division_table(work)
-    heap = []
-    for a in range(len(work)):
-        for b in range(a + 1, len(work)):
-            lcm = ctx.lcm(work[a].lm(), work[b].lm())
-            heapq.heappush(heap, (ctx.degree(lcm), lcm, a, b))
+    leads = [p.lm() for p in work]
+    pairs, active = [], []
+    for t in range(len(work)):
+        active = _update(ctx, leads, active, pairs, t)
 
-    while heap:
-        _, lcm, a, b = heapq.heappop(heap)
-        fa, fb = work[a], work[b]
-        if fa.lm() + fb.lm() == lcm:
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = Polynomial._from_sums(ctx, _divide(s_polynomial(fa, fb), table))
+    while pairs:
+        _, _, a, b = heapq.heappop(pairs)
+        r = Polynomial._from_sums(ctx, _divide(s_polynomial(work[a], work[b]), table))
         if r.is_zero():
             continue
         r = r.monic()
         work.append(r)
+        leads.append(r.lm())
         table += _division_table([r])
-        t = len(work) - 1
-        for a2 in range(t):
-            lcm2 = ctx.lcm(work[a2].lm(), r.lm())
-            heapq.heappush(heap, (ctx.degree(lcm2), lcm2, a2, t))
+        active = _update(ctx, leads, active, pairs, len(work) - 1)
 
-    return IdealBasis(_interreduce(work), marked_groebner=True)
+    return IdealBasis(_interreduce([work[k] for k in active]), marked_groebner=True)
+
+
+def _update(ctx, leads, active, pairs, t) -> list:
+    """Gebauer-Moeller update for element t joining the basis.
+
+    ``leads`` holds each element's leading monomial, ``active`` the elements
+    that still make pairs, ``pairs`` the heap of pending (lcm degree, lcm,
+    a, b).  In order:
+    1. drop each pending pair whose lcm lm(t) divides, unless lm(t) forms
+       the same lcm with one of its two elements (the chain criterion);
+    2. drop each new pair (g, t) whose lcm another new pair's lcm properly
+       divides;
+    3. keep one new pair per remaining lcm, the one with the lowest g;
+    4. drop an lcm altogether when any of its pairs has coprime leading
+       monomials (those S-polynomials reduce to zero);
+    5. take the active elements whose leading monomial lm(t) divides out of
+       pair generation.
+    Returns the new active list; ``pairs`` is changed in place.
+    """
+    guard, lcm = ctx.guard, ctx.lcm
+    h = leads[t]
+    kept = [pair for pair in pairs
+            if (pair[1] - h) & guard
+            or lcm(leads[pair[2]], h) == pair[1]
+            or lcm(leads[pair[3]], h) == pair[1]]
+    if len(kept) < len(pairs):
+        pairs[:] = kept
+        heapq.heapify(pairs)
+
+    new = {}  # lcm -> [lowest g, coprime seen]
+    for g in active:
+        lm_g = leads[g]
+        m = lcm(lm_g, h)
+        entry = new.get(m)
+        if entry is None:
+            new[m] = [g, lm_g + h == m]
+        elif lm_g + h == m:
+            entry[1] = True
+    minimal = []
+    for deg, m in sorted((ctx.degree(m), m) for m in new):
+        for d in minimal:
+            if not (m - d) & guard:
+                break
+        else:
+            minimal.append(m)
+            g, coprime = new[m]
+            if not coprime:
+                heapq.heappush(pairs, (deg, m, g, t))
+    return [g for g in active if (leads[g] - h) & guard] + [t]
 
 
 def _interreduce(polys) -> list:
-    """Minimalize by leading-monomial divisibility, then tail-reduce."""
+    """Minimalize by leading-monomial divisibility, then reduce each
+    element's tail against one table of the minimal elements; monic output.
+
+    An element's own leading monomial never divides a term met while its
+    tail is reduced: every such term is lex-smaller than it.
+    """
     if not polys:
         return []
     ctx = polys[0].ctx
-    ordered = sorted(polys, key=lambda p: (ctx.degree(p.lm()), p.lm()))
+    guard = ctx.guard
     minimal = []
-    for p in ordered:
-        if not any(ctx.divides(q.lm(), p.lm()) for q in minimal):
+    for p in sorted(polys, key=lambda p: (ctx.degree(p.lm()), p.lm())):
+        lm = p.lm()
+        if all((lm - q.lm()) & guard for q in minimal):
             minimal.append(p)
+    table = _division_table(minimal)
     reduced = []
-    for k, p in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        r = normal_form(p, others) if others else p
-        reduced.append(r.monic())
+    for p in minimal:
+        lm = p.lm()
+        tail = Polynomial._from_sums(ctx, {m: c for m, c in p.terms.items() if m != lm})
+        rest = _divide(tail, table)
+        rest[lm] = p.terms[lm]
+        reduced.append(Polynomial._from_sums(ctx, rest).monic())
     return reduced
 
 

@@ -359,20 +359,3 @@ def homology_by_field(levels, fields) -> list:
         out.append(_homology(levels, fld))
     return out
 
-
-def homology_ranks(faces, fld) -> dict:
-    """Reduced homology ranks by dimension for a face list (bitmasks).
-
-    Expects a downward closed list with the empty face 0 in it when the
-    complex is nonempty.  Returns {d: rank} for d = -1 .. dim, zeros
-    included.
-    """
-    if not faces:
-        return {}
-    levels: list = []
-    for f in faces:
-        k = f.bit_count()
-        while len(levels) <= k:
-            levels.append([])
-        levels[k].append(f)
-    return homology_by_field(levels, [fld])[0]

@@ -1,5 +1,6 @@
 """Division, Buchberger, reduced bases, Frobenius powers."""
 
+import itertools
 import random
 
 import pytest
@@ -15,11 +16,15 @@ from beideals import (
     divmod_basis,
     edge_ideal_generators,
     enumerate_connected_graphs,
+    find_closed_labeling,
     frobenius_power,
+    is_closed_with_labeling,
     normal_form,
     not_in_bracket_m,
+    relabel,
     s_polynomial,
 )
+from beideals import groebner
 import tuple_polys
 from test_polys import random_poly
 from tuple_polys import from_packed, pack, to_packed
@@ -217,15 +222,97 @@ def test_divmod_matches_tuple_reference():
 
 def test_buchberger_matches_tuple_reference():
     rng = random.Random(47)
-    for fld in (QQ, GF(2), GF(5)):
-        ctx = PolyContext(2, fld)
-        for _ in range(25):
-            gens = [random_poly(ctx, rng, nterms=2, maxdeg=2) + random_poly(ctx, rng, nterms=1, maxdeg=1)
-                    for _ in range(3)]
-            gens = [g for g in gens if not g.is_zero()]
-            got = buchberger(IdealBasis(gens)).polys
-            want = tuple_polys.buchberger(map(from_packed, gens))
-            assert list(got) == [to_packed(w) for w in want]
+
+    def trinomials(ctx):  # three generators on four variables
+        return [random_poly(ctx, rng, nterms=2, maxdeg=2) + random_poly(ctx, rng, nterms=1, maxdeg=1)
+                for _ in range(3)]
+
+    def binomials(ctx):
+        # four to six generators on six variables, terms of degree 1 to 3 with
+        # coefficients up to 5: enough shared variables for the pair criteria
+        # to cut, while the bases stay small (random trinomials here can take
+        # seconds on the plain loop)
+        return [random_poly(ctx, rng, nterms=1, maxdeg=rng.randint(1, 3))
+                + random_poly(ctx, rng, nterms=1, maxdeg=rng.randint(1, 2))
+                for _ in range(rng.randint(4, 6))]
+
+    for n, make in ((2, trinomials), (3, binomials)):
+        for fld in (QQ, GF(2), GF(5)):
+            ctx = PolyContext(n, fld)
+            for _ in range(25):
+                gens = [g for g in make(ctx) if not g.is_zero()]
+                got = buchberger(IdealBasis(gens)).polys
+                want = tuple_polys.buchberger(map(from_packed, gens))
+                assert list(got) == [to_packed(w) for w in want]
+
+
+def other_non_closed_labeling(g, h):
+    """The first relabeling of g that is not closed and differs from h, or
+    None when there is none (complete graphs)."""
+    for sigma in itertools.permutations(range(1, g.n + 1)):
+        other = relabel(g, sigma)
+        if other != h and not is_closed_with_labeling(other):
+            return other
+    return None
+
+
+def test_buchberger_matches_tuple_reference_on_edge_ideals():
+    for n in range(2, 6):
+        for g in enumerate_connected_graphs(n):
+            sigma = find_closed_labeling(g)
+            h = relabel(g, sigma) if sigma else g  # the labeling classify uses
+            labelings = [h, other_non_closed_labeling(g, h)]
+            for lab in filter(None, labelings):
+                for fld in (QQ, GF(2)):
+                    gens = edge_basis(lab, fld)
+                    want = tuple_polys.buchberger(map(from_packed, gens.polys))
+                    assert list(buchberger(gens).polys) == [to_packed(w) for w in want], (lab, fld)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pair_criteria_cut_s_polynomials(monkeypatch):
+    ours = count_calls(monkeypatch, groebner, "s_polynomial")
+    plain = count_calls(monkeypatch, tuple_polys, "s_polynomial")
+    counts = {}
+    for name, g in (("K5", Graph(5, itertools.combinations(range(1, 6), 2))),
+                    ("C5", Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]))):
+        ours.clear()
+        plain.clear()
+        gens = edge_basis(g)
+        got = buchberger(gens).polys
+        want = tuple_polys.buchberger(map(from_packed, gens.polys))  # reduces every non-coprime pair
+        assert list(got) == [to_packed(w) for w in want]
+        counts[name] = len(ours), len(plain)
+    assert counts["C5"] == (20, 24)  # 22 of 24 without the proper-divisor step
+    # The leading monomials of K5's basis are the x_i*y_j, i < j.  A pair
+    # sharing x_i has lcm x_i*y_j*y_l, which no third leading monomial
+    # divides, so no criterion applies: all 20 such pairs must be reduced.
+    assert counts["K5"] == (20, 20)
+
+
+def test_interreduce_matches_tuple_reference():
+    ctx = PolyContext(2, QQ)
+    x1, x2, y1, y2 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2)
+    f = 2 * x1 * y2 - 3 * x2 * y1 + y1 * y1
+    g = x2 * y2 + 5 * y1 - y2
+    polys = [f, 3 * f, x1 * f, g]  # a duplicate lead, a scalar multiple, a redundant multiple
+    got = groebner._interreduce(polys)
+    want = tuple_polys._interreduce([from_packed(p) for p in polys])
+    assert [from_packed(p) for p in got] == want
+    assert len(got) == 2
+    gb = buchberger(IdealBasis(polys)).polys
+    assert list(gb) == [to_packed(w) for w in tuple_polys.buchberger(map(from_packed, polys))]
 
 
 def test_colon_contains_requires_marked_basis():

@@ -10,7 +10,6 @@ from beideals.graphs import enumerate_connected_graphs
 from beideals.simplicial import (
     face_levels,
     homology_by_field,
-    homology_ranks,
     matrix_rank,
     restriction_faces,
     star_quotient_levels,
@@ -24,6 +23,18 @@ def mask(*bits):
     for b in bits:
         m |= 1 << b
     return m
+
+
+def homology_ranks(faces, fld):
+    """Reduced homology ranks {d: rank}, d = -1 .. dim, zeros included, of a
+    downward closed list of face bitmasks (the empty face 0 among them)."""
+    levels = []
+    for f in faces:
+        k = f.bit_count()
+        while len(levels) <= k:
+            levels.append([])
+        levels[k].append(f)
+    return homology_by_field(levels, [fld])[0]
 
 
 def faces_of(facets):
