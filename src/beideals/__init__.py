@@ -75,7 +75,6 @@ from .polys import (
     format_poly,
     parse_poly,
 )
-from .simplicial import SimplicialComplex, krull_dim, stanley_reisner
 
 # Listed explicitly: dir() would also export the submodule names.
 __all__ = [
@@ -95,5 +94,4 @@ __all__ = [
     "IdealBasis", "buchberger", "colon_contains", "divmod_basis", "frobenius_power",
     "normal_form", "not_in_bracket_m", "s_polynomial",
     "Monomial", "PolyContext", "Polynomial", "format_monomial", "format_poly", "parse_poly",
-    "SimplicialComplex", "krull_dim", "stanley_reisner",
 ]

@@ -1,10 +1,13 @@
 """Exact coefficient fields.
 
-Two implementations of one small contract: the rationals (elements are
-``fractions.Fraction``) and prime fields F_p (elements are ints in
-``range(p)``).  Everything downstream does its arithmetic through a field
-object so that Groebner bases, normal forms and homology ranks are exact in
-either characteristic.
+Two implementations of one small contract: the rationals and prime fields
+F_p (elements are ints in ``range(p)``).  A rational is an ``int`` when it
+is a whole number and a ``fractions.Fraction`` otherwise, so the +-1
+coefficients of binomial edge ideals stay in int arithmetic.  Arithmetic
+on Fractions may leave a whole number as a Fraction; that is harmless,
+since ``Fraction(k) == k`` and the two hash and print alike.  Everything
+downstream does its arithmetic through a field object so that Groebner
+bases, normal forms and homology ranks are exact in either characteristic.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ class RationalField:
     char = 0
 
     def coerce(self, value):
-        return Fraction(value)
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def add(self, a, b):
         return a + b
@@ -47,17 +53,19 @@ class RationalField:
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.coerce(1 / Fraction(a))
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -76,6 +76,17 @@ def _inverse_lc(f: Polynomial):
     return c if c == 1 else f.ctx.field.inv(c)
 
 
+def _monic_terms(f: Polynomial):
+    """The terms of f divided by its leading coefficient; no products when
+    that is 1."""
+    terms = f.terms
+    c = terms[f.lm()]
+    if c == 1:
+        return terms.items()
+    c = f.ctx.field.inv(c)
+    return [(m, v * c) for m, v in terms.items()]
+
+
 def _divide(f: Polynomial, table: list, quotients=None) -> dict:
     """Remainder terms of f on division by the table's divisors.
 
@@ -106,9 +117,11 @@ def _divide(f: Polynomial, table: list, quotients=None) -> dict:
             shift = m - lm_b
             if shift & guard:
                 continue
-            q = c * lc_inv
-            if p:
-                q %= p
+            q = c
+            if lc_inv != 1:
+                q = c * lc_inv
+                if p:
+                    q %= p
             if quotients is not None:
                 quotients[idx][shift] = q
             for mb, neg_cb in tail:
@@ -162,19 +175,25 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g, with lcm that of the leading monomials.
+
+    A monic input is only shifted, without multiplying its coefficients by
+    its inverse leading coefficient of 1; inside ``buchberger`` every
+    element is monic.
+    """
     if f.ctx != g.ctx:
         raise ValueError("polynomials from different rings")
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
     ctx = f.ctx
-    lcm = ctx.lcm(f.lm(), g.lm())
-    shift_f, inv_f = lcm - f.lm(), _inverse_lc(f)
-    shift_g, inv_g = lcm - g.lm(), _inverse_lc(g)
-    out = {m + shift_f: c * inv_f for m, c in f.terms.items()}
+    lm_f, lm_g = f.lm(), g.lm()
+    lcm = ctx.lcm(lm_f, lm_g)
+    shift_f, shift_g = lcm - lm_f, lcm - lm_g
+    out = {m + shift_f: c for m, c in _monic_terms(f)}
     get = out.get
-    for m, c in g.terms.items():
+    for m, c in _monic_terms(g):
         key = m + shift_g
-        out[key] = get(key, 0) - c * inv_g
+        out[key] = get(key, 0) - c
     _check_exponents(ctx, out)
     return Polynomial._from_sums(ctx, out)
 

@@ -145,7 +145,9 @@ class Polynomial:
     """Immutable sparse polynomial: dict from packed monomial to coefficient.
 
     Construction normalizes coefficients through the context field and drops
-    zeros, so equal polynomials always have equal term dicts.
+    zeros, so equal polynomials always have equal term dicts.  Equal means
+    equal by value: over QQ a whole-number coefficient may be the int k or
+    ``Fraction(k)``, which compare, hash and print alike.
     """
 
     __slots__ = ("ctx", "terms", "_lm")
@@ -168,7 +170,7 @@ class Polynomial:
         of field elements: reduce them mod p and drop the zeros."""
         p = ctx.field.char
         if p:
-            clean = {m: c % p for m, c in sums.items() if c % p}
+            clean = {m: r for m, c in sums.items() if (r := c % p)}
         else:
             clean = {m: c for m, c in sums.items() if c}
         out = object.__new__(cls)
@@ -289,7 +291,7 @@ class Polynomial:
 
 def _is_native(field, c) -> bool:
     if field.char == 0:
-        return isinstance(c, Fraction)
+        return type(c) is int or isinstance(c, Fraction)
     return isinstance(c, int) and 0 <= c < field.char
 
 

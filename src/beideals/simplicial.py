@@ -13,8 +13,6 @@ over QQ and odd F_p they use signed dict rows and exact elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import GF
 
 
@@ -34,50 +32,6 @@ def support_masks(mingens, nvars: int) -> list:
             raise ValueError("constant generator: the ideal is the unit ideal")
         masks.append(mask)
     return masks
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet description of a complex on vertices 0..nvars-1."""
-
-    nvars: int
-    facets: tuple  # sorted tuples of vertex indices, pairwise incomparable
-
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
-    def max_facet_size(self) -> int:
-        return max(len(f) for f in self.facets)
-
-
-def stanley_reisner(mingens, nvars: int) -> SimplicialComplex:
-    """Complex whose faces are the subsets containing no generator support.
-
-    Works on all nvars vertices: a variable absent from every generator is
-    a cone point and appears in every facet.  The faces on the appearing
-    variables come from ``face_levels``; a face is a facet when it is no
-    codimension-one face of a larger one.
-    """
-    masks = support_masks(mingens, nvars)
-    appearing = 0
-    for m in masks:
-        appearing |= m
-    cone = ((1 << nvars) - 1) & ~appearing
-    levels = face_levels(masks, appearing)
-    below = {f ^ v for level in levels[1:] for f in level for v in _bits(f)}
-    facets = [
-        tuple(v for v in range(nvars) if (f | cone) >> v & 1)
-        for level in levels
-        for f in level
-        if f not in below
-    ]
-    facets.sort(key=lambda f: (len(f), f))
-    return SimplicialComplex(nvars, tuple(facets))
-
-
-def krull_dim(complex_: SimplicialComplex) -> int:
-    """Krull dimension of the quotient by the ideal: the largest facet size."""
-    return complex_.max_facet_size()
 
 
 # ----------------------------------------------------------------------
@@ -264,30 +218,6 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def boundary_rows(lower_index: dict, faces: list) -> list:
-    """Rows of the boundary matrix, one row per face of the upper dimension.
-
-    The row for a face lists, with alternating signs, the positions of its
-    codimension-one subfaces in ``lower_index``; subfaces missing from it
-    are zero in the quotient complex and are left out.  Transposing rows
-    and columns leaves rank unchanged, so rows-per-face is fine.
-    """
-    rows = []
-    for f in faces:
-        row = {}
-        sign = 1
-        m = f
-        while m:
-            v = m & -m
-            t = lower_index.get(f ^ v)
-            if t is not None:
-                row[t] = sign
-            sign = -sign
-            m ^= v
-        rows.append(row)
-    return rows
-
-
 def _rank_f2(rows) -> int:
     """Rank over F_2 of rows given as int bitsets, by XOR elimination."""
     pivots = {}
@@ -305,9 +235,12 @@ def _rank_f2(rows) -> int:
 def _boundary_ranks(levels, fld) -> list:
     """ranks[k]: rank of the boundary map from k-vertex to (k-1)-vertex faces.
 
-    Over F_2 rows are bitsets over the lower faces, ranked by XOR
-    elimination; over any other field they are the signed dict rows of
-    ``boundary_rows``, ranked by exact elimination.
+    Each face gives one row over its codimension-one subfaces; subfaces
+    missing from the lower level are zero in the quotient complex and are
+    left out, and rows-per-face leaves the rank unchanged.  Over F_2 rows
+    are bitsets over the lower faces, ranked by XOR elimination; over any
+    other field they are dicts with alternating signs, ranked by exact
+    elimination.
     """
     ranks = [0]
     index = {f: t for t, f in enumerate(levels[0])}
@@ -326,7 +259,20 @@ def _boundary_ranks(levels, fld) -> list:
                 rows.append(row)
             ranks.append(_rank_f2(rows))
         else:
-            ranks.append(matrix_rank(boundary_rows(index, faces), fld))
+            rows = []
+            for f in faces:
+                row = {}
+                sign = 1
+                m = f
+                while m:
+                    v = m & -m
+                    t = index.get(f ^ v)
+                    if t is not None:
+                        row[t] = sign
+                    sign = -sign
+                    m ^= v
+                rows.append(row)
+            ranks.append(matrix_rank(rows, fld))
         index = {f: t for t, f in enumerate(faces)}
     return ranks
 

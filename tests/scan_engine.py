@@ -7,7 +7,26 @@ requested field through ``matrix_rank``.  The Stanley-Reisner facets come
 from a sweep over all 2^nvars subsets.
 """
 
-from beideals.simplicial import boundary_rows, matrix_rank, support_masks
+from beideals.simplicial import matrix_rank, support_masks
+
+
+def boundary_rows(lower_index, faces):
+    """Signed dict rows of the boundary matrix, one per face; subfaces
+    missing from ``lower_index`` are left out."""
+    rows = []
+    for f in faces:
+        row = {}
+        sign = 1
+        m = f
+        while m:
+            v = m & -m
+            t = lower_index.get(f ^ v)
+            if t is not None:
+                row[t] = sign
+            sign = -sign
+            m ^= v
+        rows.append(row)
+    return rows
 
 
 def scan_restriction_faces(masks, sigma):

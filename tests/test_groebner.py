@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from beideals import (
     Graph,
     IdealBasis,
     PolyContext,
+    admissible_groebner_basis,
     buchberger,
     colon_contains,
     divmod_basis,
@@ -244,6 +246,34 @@ def test_buchberger_matches_tuple_reference():
                 got = buchberger(IdealBasis(gens)).polys
                 want = tuple_polys.buchberger(map(from_packed, gens))
                 assert list(got) == [to_packed(w) for w in want]
+
+
+def test_buchberger_with_non_whole_coefficients():
+    ctx = PolyContext(2, QQ)
+    x1, x2, y1, y2 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2)
+    gens = [2 * x1 * y2 - 3 * x2 * y1, 3 * x1 * y1 + x2 * y2 - y1 * y1, 5 * x2 * x2 - 2 * y1 * y2]
+    got = buchberger(IdealBasis(gens)).polys
+    assert list(got) == [to_packed(w) for w in tuple_polys.buchberger(map(from_packed, gens))]
+    assert any(c.denominator != 1 for p in got for c in p.terms.values())
+
+
+def test_edge_ideal_bases_over_qq_make_no_fractions(monkeypatch):
+    """Over QQ the +-1 coefficients of J_G stay ints throughout.  Every
+    Fraction the arithmetic could make needs a Fraction operand, which
+    coerce, inv or a literal would first have to construct."""
+    made = []
+    inner = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            admissible_groebner_basis(g, QQ)
+            buchberger(edge_basis(g))
+    assert made == []
 
 
 def other_non_closed_labeling(g, h):

@@ -64,6 +64,17 @@ def test_rational_field_exactness():
         QQ.inv(0)
 
 
+def test_rational_field_keeps_whole_numbers_as_ints():
+    for whole in (QQ.coerce(7), QQ.coerce(Fraction(4, 2)), QQ.inv(-1), QQ.inv(Fraction(1)),
+                  QQ.inv(Fraction(1, 2)), QQ.zero, QQ.one):
+        assert type(whole) is int
+    assert QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(2)) is Fraction
+    assert QQ.coerce(True) == 1
+    assert type(QQ.coerce(True)) is int
+
+
 def test_field_equality_and_hash():
     assert GF(3) == GF(3)
     assert GF(3) != GF(5)
@@ -250,6 +261,19 @@ def test_mixed_context_rejected():
     c = PolyContext(3, QQ)
     with pytest.raises(ValueError):
         a.x(1) + c.x(1)
+
+
+def test_whole_fraction_coefficients_equal_int_ones():
+    ctx = PolyContext(2, QQ)
+    key = ctx.monomial(x1=1, y2=1)
+    as_fraction = Polynomial(ctx, {key: Fraction(3), 0: Fraction(-3)})
+    as_int = Polynomial(ctx, {key: 3, 0: -3})
+    assert type(as_fraction.lc()) is Fraction and type(as_int.lc()) is int
+    assert as_fraction == as_int
+    assert hash(as_fraction) == hash(as_int)
+    assert format_poly(as_fraction) == format_poly(as_int) == "3*x1*y2 - 3"
+    from_bool = Polynomial(ctx, {key: True})
+    assert from_bool.lc() == 1 and type(from_bool.lc()) is int
 
 
 # printing and parsing -------------------------------------------------
