@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .betti import betti_tables, fpt_squarefree, homological_summary, regularity
@@ -167,12 +168,17 @@ def classify_graph(g: Graph) -> ClassificationRow:
 
 def classify_range(config: RunConfig) -> list:
     """Rows for every connected graph class with n in the configured range,
-    sorted by (n, graph id) regardless of parallelism."""
+    sorted by (n, graph id) regardless of parallelism.
+
+    ``config.jobs`` is an upper bound: at most the CPU count and the number
+    of classes of worker processes start, and none when that is 1.
+    """
     graphs = []
     for n in range(config.n_min, config.n_max + 1):
         graphs.extend(enumerate_connected_graphs(n))
-    if config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
+    workers = min(config.jobs, os.cpu_count() or 1, len(graphs))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(classify_graph, graphs)
     else:
         rows = [classify_graph(g) for g in graphs]

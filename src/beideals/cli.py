@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--out", default="classify_report")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count and the number of classes")
     p.set_defaults(func=cmd_classify)
 
     return top

@@ -162,3 +162,30 @@ def test_parallel_run_is_deterministic():
     rows2 = classify_range(cfg2)
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
     assert rows_to_json(rows1, cfg1) == rows_to_json(rows2, cfg1)
+
+
+def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(x) for x in items]
+
+    monkeypatch.setattr("beideals.classify.multiprocessing.Pool", InProcessPool)
+    monkeypatch.setattr("beideals.classify.os.cpu_count", lambda: 4)
+    assert classify_range(RunConfig(2, 5, jobs=100_000)) == rows5
+    assert classify_range(RunConfig(2, 3, jobs=100_000)) == rows5[:3]  # 3 classes
+    assert sizes == [4, 3]
+    assert classify_range(RunConfig(2, 2, jobs=8)) == rows5[:1]  # one class: no pool
+    monkeypatch.setattr("beideals.classify.os.cpu_count", lambda: None)
+    assert classify_range(RunConfig(2, 5, jobs=8)) == rows5  # CPU count unknown: no pool
+    assert sizes == [4, 3]

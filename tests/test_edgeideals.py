@@ -204,6 +204,79 @@ def test_frobenius_of_admissible_basis_is_the_bracket_basis():
     assert cases == 3 * (30 + 26)
 
 
+def bracket_basis(h, p):
+    ctx = PolyContext(h.n, GF(p))
+    basis = IdealBasis(e.poly for e in admissible_groebner_basis(h, ctx.field))
+    return ctx, frobenius_power(basis, p)
+
+
+def full_product_memberships(h, p):
+    """Oracle: divide witness * f_ij by the bracket basis in one pass."""
+    ctx, bracket_gb = bracket_basis(h, p)
+    witness = fedder_witness(h, p)
+    return {
+        (i, j): normal_form(witness * edge_binomial(ctx, i, j), bracket_gb).is_zero()
+        for i, j in h.sorted_edges()
+    }
+
+
+def closed_labelings(orders):
+    """find_closed_labeling's labeling of every closed connected class of each order."""
+    for n in orders:
+        for g in enumerate_connected_graphs(n):
+            sigma = find_closed_labeling(g)
+            if sigma is not None:
+                yield relabel(g, sigma)
+
+
+def test_stepwise_memberships_match_full_product():
+    closed = list(closed_labelings(range(2, 7)))
+    forced = [first_open_relabeling(g) for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    forced = [h for h in forced if h is not None]
+    # 43 closed classes with n <= 6, complete graphs included; 26 open relabelings with n <= 5
+    assert (len(closed), len(forced)) == (43, 26)
+    outcomes = set()
+    for hs, force in ((closed, False), (forced, True)):
+        for h in hs:
+            for p in (2, 3, 5):
+                cert = fedder_check(h, p, force=force)
+                assert cert.witness == fedder_witness(h, p)
+                assert cert.edge_memberships == full_product_memberships(h, p), (h.edges, p)
+                outcomes.update(cert.edge_memberships.values())
+    assert outcomes == {True, False}
+
+
+def test_interval_factors_reach_zero():
+    # why fedder_check takes the factors f_{k,k+1}^(p-1) with i <= k < j first
+    edges = 0
+    for h in closed_labelings(range(2, 7)):
+        for p in (2, 3, 5):
+            ctx, bracket_gb = bracket_basis(h, p)
+            for i, j in h.sorted_edges():
+                f = edge_binomial(ctx, i, j)
+                full = f * pair_power_product(ctx, range(i, j + 1), p - 1)
+                assert normal_form(full, bracket_gb).is_zero(), (h.edges, p, i, j)
+                if j - i >= 2:
+                    short = f * pair_power_product(ctx, range(i, j), p - 1)
+                    assert not normal_form(short, bracket_gb).is_zero(), (h.edges, p, i, j)
+                edges += 1
+    assert edges == 3 * 333
+
+
+def test_fedder_certificates_at_n7():
+    checked = 0
+    for h in closed_labelings([7]):
+        if len(h.edges) == 21:  # K_7
+            continue
+        for p in (2, 3):
+            cert = fedder_check(h, p)
+            assert cert.valid, (h.edges, p)
+            assert cert.witness_degree == 2 * (h.n - 1) * (p - 1)
+            checked += 1
+    # 75 closed connected non-complete classes with n = 7, two primes each
+    assert checked == 2 * 75
+
+
 def test_fedder_on_complete_graphs():
     # outside the sufficient hypotheses, recorded as observed behavior
     assert fedder_check(complete_graph(3), 2).valid
