@@ -48,6 +48,7 @@ from .graphs import (
     LimitExceededError,
     admissible_paths,
     adjacency_code,
+    automorphisms,
     canonical_form,
     enumerate_connected_graphs,
     find_closed_labeling,
@@ -88,7 +89,7 @@ __all__ = [
     "pair_power_product", "path_monomial", "plucker_relation",
     "GF", "QQ", "PrimeField", "RationalField",
     "AdmissiblePath", "Graph", "LimitExceededError", "admissible_paths",
-    "adjacency_code", "canonical_form", "enumerate_connected_graphs",
+    "adjacency_code", "automorphisms", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",
     "IdealBasis", "buchberger", "colon_contains", "divmod_basis", "frobenius_power",

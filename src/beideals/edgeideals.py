@@ -239,7 +239,7 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
         n=g.n,
         p=p,
         witness=witness,
-        witness_degree=witness.degree(),
+        witness_degree=ctx.degree(witness.lm()),  # the witness is homogeneous
         not_in_m_bracket=not_in_bracket_m(witness, p),
         edge_memberships=memberships,
         closed_labeling=closed,

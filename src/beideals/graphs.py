@@ -1,9 +1,12 @@
 """Finite simple graphs on vertex set {1, ..., n} and their path data.
 
 Provides the closedness predicates, a LexBFS search for closed labelings,
-admissible-path enumeration, and isomorphism-free generation of connected
-graphs via a canonical labeling (minimum upper-triangular adjacency
-bit-string over all vertex permutations, found by branch and bound).
+admissible-path enumeration, a canonical labeling (minimum upper-triangular
+adjacency bit-string over all vertex permutations, found by branch and
+bound), automorphism groups by a degree-refined backtracking search, and
+isomorphism-free generation of graphs by canonical augmentation: each class
+on n vertices is built once from one class on n - 1 vertices, with no table
+of the codes seen.
 """
 
 from __future__ import annotations
@@ -302,32 +305,127 @@ def canonical_form(g: Graph):
     return code, tuple(order.index(v) + 1 for v in range(n))
 
 
+def automorphisms(g: Graph):
+    """Yield every automorphism of g as a permutation tuple (vertex v maps
+    to sigma[v - 1]).
+
+    Backtracking over the vertices in breadth-first order, so each vertex
+    after the first of its component has a neighbour already mapped.  A
+    vertex may go to an unused vertex of the same degree whose adjacency to
+    the images so far matches its own adjacency to the vertices mapped so
+    far.  When the last vertex is placed every edge has been checked, so
+    every leaf of the search is an automorphism.
+    """
+    n = g.n
+    adj = [0] * n
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    deg = [a.bit_count() for a in adj]
+    order = []
+    for root in range(n):
+        if root in order:
+            continue
+        k = len(order)
+        order.append(root)
+        while k < len(order):
+            v = order[k]
+            order.extend(w for w in range(n) if adj[v] >> w & 1 and w not in order)
+            k += 1
+    image = [0] * n
+
+    def extend(k, used):
+        if k == n:
+            yield tuple(w + 1 for w in image)
+            return
+        v = order[k]
+        want = 0  # the images of v's neighbours among the mapped vertices
+        for u in order[:k]:
+            if adj[v] >> u & 1:
+                want |= 1 << image[u]
+        for w in range(n):
+            if not used >> w & 1 and deg[w] == deg[v] and adj[w] & used == want:
+                image[v] = w
+                yield from extend(k + 1, used | 1 << w)
+
+    yield from extend(0, 0)
+
+
+def _new_neighbourhoods(parent: Graph, deg: list) -> list:
+    """Neighbourhood masks for a new vertex, one per orbit of Aut(parent),
+    among those that give the new vertex the maximum degree of the child.
+
+    Bit v - 1 stands for vertex v.  Joined to S, the new vertex has degree
+    |S| and vertex v has deg[v] + 1 when it lies in S, deg[v] otherwise.
+    An automorphism keeps that condition, so masks are filtered first and
+    then reduced: masks go in increasing order, and each one not yet seen
+    is kept and its orbit marked seen, so the smallest of each orbit stays.
+    """
+    m = parent.n
+    at_degree = [0] * (m + 1)
+    for v, d in enumerate(deg):
+        at_degree[d] |= 1 << v
+    top = max(deg)
+    masks = [s for s in range(1 << m)
+             if s.bit_count() >= top and not s & at_degree[s.bit_count()]]
+    identity = tuple(range(1, m + 1))
+    moves = [[1 << (w - 1) for w in sigma]
+             for sigma in automorphisms(parent) if sigma != identity]
+    kept, seen = [], set()
+    for s in masks:
+        if s not in seen:
+            kept.append(s)
+            seen.update(sum(bits[v] for v in range(m) if s >> v & 1) for bits in moves)
+    return kept
+
+
 @lru_cache(maxsize=None)
 def _all_graphs_up_to_iso(n: int) -> tuple:
-    """Canonical representatives of every graph on n vertices, sorted by code."""
+    """Canonical representatives of every graph on n vertices, sorted by code.
+
+    Canonical augmentation (McKay, J. Algorithms 26, 1998).  Each
+    representative on n - 1 vertices, disconnected ones included, gets a
+    new vertex n joined to one neighbourhood per orbit of its automorphism
+    group.  A child is accepted when n could be the vertex its canonical
+    deletion removes: the vertex of maximum degree that comes last in the
+    canonical labeling, taken up to automorphisms of the child.  So n must
+    have maximum degree, which most children fail before ``canonical_form``
+    runs, and when the canonical vertex u is not n itself, some automorphism
+    must map n to u.  Every class is then accepted exactly once: deleting
+    its canonical vertex gives one parent class, and children of one parent
+    that are isomorphic by a map fixing n come from one orbit.
+    """
     if n == 1:
         return (Graph(1, []),)
-    reps = {}
-    for smaller in _all_graphs_up_to_iso(n - 1):
-        base = list(smaller.edges)
-        for mask in range(1 << (n - 1)):
-            extra = [(v, n) for v in range(1, n) if mask >> (v - 1) & 1]
-            h = Graph(n, base + extra)
-            code, sigma = canonical_form(h)
-            if code not in reps:
-                reps[code] = relabel(h, sigma)
-    return tuple(reps[c] for c in sorted(reps))
+    m = n - 1
+    found = []
+    for parent in _all_graphs_up_to_iso(m):
+        deg = [0] * m
+        for i, j in parent.edges:
+            deg[i - 1] += 1
+            deg[j - 1] += 1
+        base = list(parent.edges)
+        for s in _new_neighbourhoods(parent, deg):
+            k = s.bit_count()
+            child = Graph(n, base + [(v + 1, n) for v in range(m) if s >> v & 1])
+            code, sigma = canonical_form(child)
+            heaviest = [v for v in range(m) if deg[v] + (s >> v & 1) == k] + [m]
+            u = max(heaviest, key=lambda v: sigma[v])
+            if u == m or any(a[m] == u + 1 for a in automorphisms(child)):
+                found.append((code, relabel(child, sigma)))
+    found.sort(key=lambda pair: pair[0])
+    return tuple(g for _, g in found)
 
 
 def enumerate_connected_graphs(n: int) -> tuple:
     """Connected graphs on n vertices up to isomorphism, canonically labeled.
 
-    Output is sorted by canonical adjacency code.  The underlying
-    generation extends each (n-1)-vertex representative by one new vertex
-    with every possible neighborhood, so it is exhaustive; n is capped at
-    ``ENUMERATION_LIMIT`` to bound the run time, since the class count
-    grows faster than exponentially (853 connected classes at n = 7, about
-    11,000 at n = 8).
+    Output is sorted by canonical adjacency code.  The classes come from
+    ``_all_graphs_up_to_iso``, which generates every graph on n vertices by
+    canonical augmentation, one representative per class, and keeps the
+    connected ones.  n is capped at ``ENUMERATION_LIMIT`` to bound the run
+    time, since the class count grows faster than exponentially (853
+    connected classes at n = 7, 11,117 at n = 8).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")

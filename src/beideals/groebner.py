@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polys import EXP_LIMIT, FIELD_BITS, Polynomial, _check_exponents
 
@@ -59,6 +60,12 @@ class IdealBasis:
         if not self.polys:
             raise ValueError("empty basis has no ring context")
         return self.polys[0].ctx
+
+    @cached_property
+    def division_table(self) -> list:
+        """``_division_table`` of the polys, built on first use and kept;
+        ``_divide`` only reads a table, so every division can share it."""
+        return _division_table(self.polys)
 
 
 def _division_table(divisors) -> list:
@@ -166,12 +173,18 @@ def divmod_basis(f: Polynomial, divisors) -> tuple:
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f on division by the basis (its polynomials in order)."""
-    divisors = basis.polys if isinstance(basis, IdealBasis) else list(basis)
+    """Remainder of f on division by the basis (its polynomials in order).
+
+    An ``IdealBasis`` lends its kept division table, so repeated divisions
+    by one basis set up its divisors once.
+    """
+    kept = isinstance(basis, IdealBasis)
+    divisors = basis.polys if kept else list(basis)
     if not divisors:
         return f
     _check_divisors(f.ctx, divisors)
-    return Polynomial._from_sums(f.ctx, _divide(f, _division_table(divisors)))
+    table = basis.division_table if kept else _division_table(divisors)
+    return Polynomial._from_sums(f.ctx, _divide(f, table))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -168,12 +168,13 @@ def test_p2_witness_at_three():
 
 
 def test_fedder_certificates_on_paths():
-    for n, p in [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]:
+    for n, p in itertools.product(range(2, 6), (2, 3, 5)):
         cert = fedder_check(path_graph(n), p)
         assert cert.valid
         assert cert.not_in_m_bracket
         assert all(cert.edge_memberships.values())
-        assert cert.witness_degree == 2 * (n - 1) * (p - 1)
+        # taken from the leading monomial: the witness is homogeneous
+        assert cert.witness_degree == 2 * (n - 1) * (p - 1) == cert.witness.degree()
 
 
 def first_open_relabeling(g):

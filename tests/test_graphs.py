@@ -4,21 +4,27 @@ The closed-labeling search is checked against a scan of all n! labelings,
 the admissible-path routine against a from-scratch oracle that enumerates
 every simple path and applies the three defining conditions verbatim, the
 branch-and-bound canonical form against a minimum over all n! relabelings,
-and the isomorphism-class enumeration against a scan of all edge subsets
-and the known class counts.
+automorphism groups against a permutation scan and networkx's matcher, and
+the enumeration by canonical augmentation against the former
+extend-and-dedupe generator, the networkx graph atlas, a scan of all edge
+subsets and the known class counts.
 """
 
+import functools
 import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from beideals import (
     Graph,
     LimitExceededError,
     admissible_paths,
     adjacency_code,
+    automorphisms,
     canonical_form,
     enumerate_connected_graphs,
     find_closed_labeling,
@@ -349,6 +355,95 @@ def test_enumeration_reps_are_canonical_and_sorted():
     assert codes == sorted(codes)
     for g in reps:
         assert canonical_form(g)[0] == adjacency_code(g)
+
+
+@functools.lru_cache(maxsize=None)
+def graphs_by_extend_and_dedupe(n):
+    """The former generator: canonicalise every one-vertex extension of
+    every class on n - 1 vertices and keep one graph per code."""
+    if n == 1:
+        return (Graph(1, []),)
+    reps = {}
+    for smaller in graphs_by_extend_and_dedupe(n - 1):
+        base = list(smaller.edges)
+        for mask in range(1 << (n - 1)):
+            extra = [(v, n) for v in range(1, n) if mask >> (v - 1) & 1]
+            h = Graph(n, base + extra)
+            code, sigma = canonical_form(h)
+            if code not in reps:
+                reps[code] = relabel(h, sigma)
+    return tuple(reps[c] for c in sorted(reps))
+
+
+def test_augmentation_matches_extend_and_dedupe_oracle():
+    for n in range(1, 8):
+        assert _all_graphs_up_to_iso(n) == graphs_by_extend_and_dedupe(n), n
+
+
+def test_enumeration_against_networkx_atlas():
+    # the atlas lists every graph with at most 7 vertices, one per class
+    codes = {n: set() for n in range(1, 8)}
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if n:
+            g = Graph(n, [(u + 1, v + 1) for u, v in a.edges()])
+            codes[n].add(canonical_form(g)[0])
+    assert sum(map(len, codes.values())) == 1252
+    for n, expected in codes.items():
+        reps = _all_graphs_up_to_iso(n)
+        assert len(reps) == len(expected)
+        assert {adjacency_code(g) for g in reps} == expected, n
+
+
+def test_enumeration_counts_at_eight():
+    # OEIS A000088 and A001349 at n = 8, past ENUMERATION_LIMIT
+    reps = _all_graphs_up_to_iso(8)
+    assert len(reps) == 12346
+    assert sum(map(is_connected, reps)) == 11117
+    codes = [adjacency_code(g) for g in reps]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+def automorphisms_by_scan(g):
+    return {p for p in itertools.permutations(range(1, g.n + 1)) if relabel(g, p) == g}
+
+
+def test_automorphisms_against_permutation_scan():
+    rng = random.Random(13)
+    for n in range(1, 6):
+        for rep in _all_graphs_up_to_iso(n):
+            g = shuffled(rep, rng)
+            group = list(automorphisms(g))
+            assert len(set(group)) == len(group)
+            assert set(group) == automorphisms_by_scan(g), g
+
+
+def test_automorphism_group_orders_against_networkx():
+    rng = random.Random(17)
+    for n in (6, 7):
+        for rep in _all_graphs_up_to_iso(n):
+            g = shuffled(rep, rng)
+            h = nx.Graph()
+            h.add_nodes_from(range(1, n + 1))
+            h.add_edges_from(g.edges)
+            expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert sum(1 for _ in automorphisms(g)) == expected, g
+
+
+def test_automorphisms_of_symmetric_graphs_stay_cheap():
+    # every partial map of the edgeless graph and of K_7 extends, so the
+    # search costs about the group order, 7! = 5040; the shuffled cycle and
+    # Petersen graph have one degree throughout and small groups among 10!
+    # permutations, so only the adjacency checks keep those searches small
+    rng = random.Random(19)
+    cases = [(Graph(7, []), 5040), (complete_graph(7), 5040),
+             (shuffled(cycle_graph(10), rng), 20), (shuffled(PETERSEN, rng), 120)]
+    for g, order in cases:
+        start = time.perf_counter()
+        group = list(automorphisms(g))
+        assert time.perf_counter() - start < 1.0, g
+        assert len(group) == len(set(group)) == order, g
+        assert all(relabel(g, p) == g for p in group), g
 
 
 def test_enumeration_limit():

@@ -84,6 +84,30 @@ def test_normal_form_empty_basis():
     ctx = PolyContext(2, QQ)
     f = ctx.x(1) + ctx.y(2)
     assert normal_form(f, []) == f
+    assert normal_form(f, IdealBasis([])) == f
+
+
+def test_normal_form_shares_the_basis_division_table():
+    # the table an IdealBasis keeps is built once and only read by a
+    # division, so repeated normal forms agree with fresh bases and lists
+    rng = random.Random(41)
+    for fld in (QQ, GF(3)):
+        gb = buchberger(IdealBasis(edge_basis(DIAMOND, fld)))
+        table = gb.division_table
+        before = [(lm, c, list(tail)) for lm, c, tail in table]
+        ctx = gb.ctx
+        fs = [random_poly(ctx, rng, nterms=6, maxdeg=4) for _ in range(40)]
+        fs += [f * b for f, b in zip(fs, itertools.cycle(gb.polys))]  # members
+        first = [normal_form(f, gb) for f in fs]
+        second = [normal_form(f, gb) for f in fs]
+        fresh = [normal_form(f, IdealBasis(gb.polys, marked_groebner=True)) for f in fs]
+        listed = [normal_form(f, list(gb.polys)) for f in fs]
+        assert first == second == fresh == listed
+        assert any(not r.is_zero() for r in first) and any(r.is_zero() for r in first)
+        assert gb.division_table is table
+        assert [(lm, c, list(tail)) for lm, c, tail in table] == before
+    with pytest.raises(ValueError, match="different ring"):
+        normal_form(PolyContext(4, GF(5)).x(1), gb)
 
 
 def test_s_polynomial_cancels_leads():
