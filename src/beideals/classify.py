@@ -178,8 +178,11 @@ def classify_range(config: RunConfig) -> list:
         graphs.extend(enumerate_connected_graphs(n))
     workers = min(config.jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
+        # densest classes first, one per task, so that no worker is left
+        # with a long tail; the sort is stable, so ties keep (n, code) order
+        graphs.sort(key=lambda g: (-len(g.edges), g.n))
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(classify_graph, graphs)
+            rows = pool.map(classify_graph, graphs, chunksize=1)
     else:
         rows = [classify_graph(g) for g in graphs]
     rows.sort(key=lambda r: (r.n, r.graph_id))

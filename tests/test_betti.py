@@ -21,7 +21,15 @@ from beideals import (
     render_betti,
 )
 
-from beideals.graphs import enumerate_connected_graphs, find_closed_labeling, relabel
+from beideals.betti import _dominated_vertex, _witnessed_by_vertex
+from beideals.classify import graph_id
+from beideals.graphs import (
+    enumerate_connected_graphs,
+    find_closed_labeling,
+    is_closed_with_labeling,
+    relabel,
+)
+from beideals.simplicial import homology_by_field, star_quotient_levels, support_masks
 from hochster_oracle import betti_by_restriction
 from scan_engine import scan_betti_table, scan_facets
 
@@ -81,17 +89,27 @@ def test_agrees_with_restriction_oracle_spot_check():
         assert betti_table(gens, 8, fld).as_dict() == betti_by_restriction(gens, 8, fld)
 
 
-def classify_labeled_gens(g):
-    """Initial ideal generators under the labeling classify_graph uses."""
+def classify_labeled(g):
+    """``g`` under the labeling classify_graph uses."""
     sigma = find_closed_labeling(g)
-    return initial_ideal_generators(relabel(g, sigma) if sigma else g)
+    return relabel(g, sigma) if sigma else g
+
+
+def first_open_relabeling(g):
+    """The first relabeling, in permutation order, that is not closed; None
+    for a complete graph, whose every labeling is closed."""
+    for sigma in itertools.permutations(range(1, g.n + 1)):
+        h = relabel(g, sigma)
+        if not is_closed_with_labeling(h):
+            return h
+    return None
 
 
 def test_betti_tables_match_scan_engine():
     fields = [QQ, GF(2), GF(3)]
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
-            gens = classify_labeled_gens(g)
+            gens = initial_ideal_generators(classify_labeled(g))
             tables = betti_tables(gens, 2 * n, fields)
             for table, fld in zip(tables, fields):
                 assert table.as_dict() == scan_betti_table(gens, 2 * n, fld), (g.edges, fld)
@@ -114,6 +132,25 @@ def test_random_squarefree_ideals_match_scan_engine():
         assert tables.krull_dim == max(len(f) for f in scan_facets(gens, nvars))
 
 
+def test_random_ideals_with_singletons_and_repeats_match_scan_engine():
+    # every case has a singleton support {v}, whose v is no vertex of any
+    # restriction, and a repeated generator, which witnesses nothing
+    rng = random.Random(11)
+    fields = [QQ, GF(2), GF(3)]
+    for _ in range(200):
+        nvars = rng.randint(2, 8)
+        supports = [[rng.randrange(nvars)]]
+        for _ in range(rng.randint(1, 5)):
+            supports.append(rng.sample(range(nvars), rng.randint(2, min(4, nvars))))
+        supports.append(rng.choice(supports))
+        rng.shuffle(supports)
+        gens = [tuple(int(v in s) for v in range(nvars)) for s in supports]
+        tables = betti_tables(gens, nvars, fields)
+        want = [scan_betti_table(gens, nvars, fld) for fld in fields]
+        assert [t.as_dict() for t in tables] == want, gens
+        assert betti_tables_per_union(gens, nvars, fields) == want, gens
+
+
 def test_projective_plane_needs_the_exact_fallback():
     # Stanley-Reisner ideal of the six-vertex real projective plane: its
     # minimal non-faces are the ten triangles that are not among its faces
@@ -130,6 +167,109 @@ def test_projective_plane_needs_the_exact_fallback():
     assert tq.as_dict() != t2.as_dict()
     assert tq.as_dict() == betti_by_restriction(gens, 6, QQ)
     assert t2.as_dict() == betti_by_restriction(gens, 6, GF(2))
+
+
+# dominated vertices ------------------------------------------------------
+
+def unions_of_supports(masks):
+    unions = {0}
+    for m in masks:
+        unions |= {u | m for u in unions}
+    return unions
+
+
+def betti_tables_per_union(mingens, nvars, fields):
+    """Hochster's sum with the homology of every union of supports computed,
+    as betti_tables did before it took the ranks of sigma - v for a
+    dominated vertex v; one dict (i, j) -> beta per field."""
+    masks = support_masks(mingens, nvars)
+    tables = [dict() for _ in fields]
+    for sigma in unions_of_supports(masks):
+        size = sigma.bit_count()
+        ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+        for table, by_degree in zip(tables, ranks):
+            for d, h in by_degree.items():
+                if h:
+                    key = (size - 1 - d, size)
+                    table[key] = table.get(key, 0) + h
+    return tables
+
+
+def test_dominated_vertices_match_per_union_loop():
+    fields = [QQ, GF(2), GF(3)]
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for h in filter(None, [classify_labeled(g), first_open_relabeling(g)]):
+                gens = initial_ideal_generators(h)
+                tables = betti_tables(gens, 2 * n, fields)
+                want = betti_tables_per_union(gens, 2 * n, fields)
+                assert [t.as_dict() for t in tables] == want, h.edges
+                cases += 1
+    # 143 classes under classify's labeling; all but K_1, ..., K_6 also open
+    assert cases == 143 + 137
+
+
+# the n = 7 classes with the most unions under classify's labeling, from
+# 8,235 down to 7,893 (a tie with 7-039df8)
+N7_MOST_UNIONS = ("7-07bfcb", "7-07deec", "7-07bfcd", "7-07dede", "7-03bfda")
+
+
+def test_dominated_vertices_match_per_union_loop_at_n7():
+    fields = [QQ, GF(2), GF(3)]
+    graphs = [g for g in enumerate_connected_graphs(7) if graph_id(g) in N7_MOST_UNIONS]
+    graphs.append(Graph(7, itertools.combinations(range(1, 8), 2)))
+    assert len(graphs) == 6
+    for g in graphs:
+        gens = initial_ideal_generators(classify_labeled(g))
+        tables = betti_tables(gens, 14, fields)
+        assert [t.as_dict() for t in tables] == betti_tables_per_union(gens, 14, fields), g.edges
+
+
+def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
+    computed = []
+    real = homology_by_field
+
+    def counting(levels, fields):
+        computed.append(len(levels))
+        return real(levels, fields)
+
+    monkeypatch.setattr("beideals.betti.homology_by_field", counting)
+    unions = 0
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            gens = initial_ideal_generators(classify_labeled(g))
+            betti_tables(gens, 2 * n, [QQ, GF(2)])
+            unions += len(unions_of_supports(support_masks(gens, 2 * n)))
+    # the 142 classes of classify --n-max 6: one union in 20 has no dominated vertex
+    assert (len(computed), unions) == (3770, 76148)
+
+
+def test_pendant_dominates_on_a_bipartite_edge_ideal():
+    # C_6 on 0..5 with a pendant 6 at vertex 1.  N(6) = {1} lies in
+    # N(0) = {1, 5} and in N(2) = {1, 3}, so the links of 0 and 2 are cones
+    # with apex 6; on C_6 alone no neighbourhood lies in another
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 6)]
+    gens = [tuple(int(v in e) for v in range(7)) for e in edges]
+    masks = support_masks(gens, 7)
+    fields = [QQ, GF(2), GF(3)]
+
+    def reduced_homology(sigma):
+        ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+        return [{d: h for d, h in by_degree.items() if h} for by_degree in ranks]
+
+    full = (1 << 7) - 1
+    cycle = full ^ 1 << 6
+    witnessed = _witnessed_by_vertex(masks)
+    assert _dominated_vertex(witnessed, full) in (1 << 0, 1 << 2)
+    assert _dominated_vertex(witnessed, cycle) == 0
+    # deleting 0 leaves the path 6-1-2-3-4-5, whose independence complex is
+    # a circle; that of C_6 is a wedge of two circles
+    for v in (0, 2):
+        assert reduced_homology(full) == reduced_homology(full ^ 1 << v) == [{1: 1}] * 3
+    assert reduced_homology(cycle) == [{1: 2}] * 3
+    tables = betti_tables(gens, 7, fields)
+    assert [t.as_dict() for t in tables] == betti_tables_per_union(gens, 7, fields)
 
 
 def test_structural_invariants():
@@ -189,8 +329,13 @@ def test_fpt_tracks_simplicial_endpoints():
 def test_fpt_rejects_non_minimal_input():
     ctx = PolyContext(2, QQ)
     gens = [ctx.exponents(ctx.monomial(x1=1)), ctx.exponents(ctx.monomial(x1=1, y2=1))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not minimal"):
         fpt_squarefree(gens, 4)
+    with pytest.raises(ValueError, match="not minimal"):
+        fpt_squarefree([gens[1], gens[1]], 4)  # a repeat divides its copy
+    # an input that is neither square-free nor minimal is refused as the former
+    with pytest.raises(ValueError, match="not square-free"):
+        fpt_squarefree([(2, 0, 0, 0), (2, 0, 0, 1)], 4)
 
 
 def test_fpt_report_serialization():

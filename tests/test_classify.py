@@ -166,6 +166,7 @@ def test_parallel_run_is_deterministic():
 
 def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
     sizes = []
+    handed_out = []
 
     class InProcessPool:
         def __init__(self, processes):
@@ -177,7 +178,8 @@ def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, items):
+        def map(self, func, items, chunksize=None):
+            handed_out.append((chunksize, [(-len(g.edges), g.n) for g in items]))
             return [func(x) for x in items]
 
     monkeypatch.setattr("beideals.classify.multiprocessing.Pool", InProcessPool)
@@ -185,6 +187,10 @@ def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
     assert classify_range(RunConfig(2, 5, jobs=100_000)) == rows5
     assert classify_range(RunConfig(2, 3, jobs=100_000)) == rows5[:3]  # 3 classes
     assert sizes == [4, 3]
+    # one class per task, densest first
+    assert [chunksize for chunksize, _ in handed_out] == [1, 1]
+    assert all(keys == sorted(keys) for _, keys in handed_out)
+    assert handed_out[0][1][0] == (-10, 5)  # K_5
     assert classify_range(RunConfig(2, 2, jobs=8)) == rows5[:1]  # one class: no pool
     monkeypatch.setattr("beideals.classify.os.cpu_count", lambda: None)
     assert classify_range(RunConfig(2, 5, jobs=8)) == rows5  # CPU count unknown: no pool
