@@ -61,8 +61,6 @@ from .graphs import (
 from .groebner import (
     IdealBasis,
     buchberger,
-    colon_contains,
-    divmod_basis,
     frobenius_power,
     normal_form,
     not_in_bracket_m,
@@ -92,7 +90,7 @@ __all__ = [
     "adjacency_code", "automorphisms", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",
-    "IdealBasis", "buchberger", "colon_contains", "divmod_basis", "frobenius_power",
-    "normal_form", "not_in_bracket_m", "s_polynomial",
+    "IdealBasis", "buchberger", "frobenius_power", "normal_form", "not_in_bracket_m",
+    "s_polynomial",
     "Monomial", "PolyContext", "Polynomial", "format_monomial", "format_poly", "parse_poly",
 ]

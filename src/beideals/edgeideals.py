@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .fields import GF, QQ
-from .graphs import AdmissiblePath, Graph, admissible_paths, is_closed_with_labeling, is_connected
+from .graphs import AdmissiblePath, Graph, _admissible_paths, is_closed_with_labeling, is_connected
 from .groebner import IdealBasis, frobenius_power, normal_form, not_in_bracket_m
 from .polys import Polynomial, PolyContext
 
@@ -66,17 +66,28 @@ def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     """The lex Groebner basis of the edge ideal, one element per admissible path.
 
     Elements come out sorted by (total degree, leading monomial); each is
-    monic with leading monomial u * x_i * y_j.
+    monic with leading monomial u * x_i * y_j.  The graph's adjacency is
+    built once for all pairs (i, j), and u * f_ij is written from packed
+    keys for each path.
     """
     ctx = PolyContext(g.n, fld)
+    n, shift = g.n, ctx.shift
+    x = [0] + [1 << shift(k - 1) for k in range(1, n + 1)]  # x[k], y[k]: packed keys
+    y = [0] + [1 << shift(n + k - 1) for k in range(1, n + 1)]
+    one, neg_one = fld.one, fld.neg(fld.one)
+    adj = g.adjacency()
     elems = []
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            f_ij = edge_binomial(ctx, i, j)
-            for path in admissible_paths(g, i, j):
-                u = path_monomial(ctx, path)
-                elems.append(GroebnerElement(path, u, f_ij.times_term(u, ctx.field.one)))
-    elems.sort(key=lambda e: (e.poly.degree(), e.poly.lm()))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            paths = _admissible_paths(adj, i, j)
+            if not paths:
+                continue
+            pos, neg = x[i] + y[j], x[j] + y[i]  # the terms of f_ij
+            for path in paths:
+                u = sum(x[k] if k > j else y[k] for k in path.interior)
+                poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: neg_one})
+                elems.append(GroebnerElement(path, u, poly))
+    elems.sort(key=lambda e: (len(e.path.vertices), e.poly.lm()))  # the degree is 2 + |interior|
     return elems
 
 
@@ -88,10 +99,11 @@ def initial_ideal_generators(g: Graph) -> list:
     of Herzog, Hibi, Hreinsdottir, Kahle & Rauh (2010).
     """
     n = g.n
+    adj = g.adjacency()
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for path in admissible_paths(g, i, j):
+            for path in _admissible_paths(adj, i, j):
                 exps = [0] * (2 * n)
                 exps[i - 1] = exps[n + j - 1] = 1
                 for k in path.interior:

@@ -216,7 +216,12 @@ def admissible_paths(g: Graph, i: int, j: int) -> list:
         raise ValueError(f"endpoints ({i}, {j}) out of range")
     if i >= j:
         raise ValueError(f"need i < j, got ({i}, {j})")
-    adj = g.adjacency()
+    return _admissible_paths(g.adjacency(), i, j)
+
+
+def _admissible_paths(adj: dict, i: int, j: int) -> list:
+    """``admissible_paths`` on a graph's ``adjacency()``, for callers that
+    loop over many pairs (i, j) of one graph; the endpoints are not checked."""
     found = []
 
     def extend(seq, blocked):

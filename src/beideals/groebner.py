@@ -4,13 +4,17 @@ The division algorithm processes the largest pending monomial first (via a
 heap), trying divisors in basis order, so normal forms are deterministic.
 Monomials are the packed ints of ``polys``, so the heap holds negated keys
 and a divisibility test is one subtraction masked with the guard bits.
+Divisors enter a division as rows of a table (leading monomial, inverse
+leading coefficient, negated tail), and the pending terms are a plain dict.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
 on.  It skips the S-pairs that the Gebauer-Moeller criteria (J. Symbolic
 Comput. 6, 1988) show to reduce to zero: the chain criterion on pending
 pairs, proper divisibility and equality among the new pairs' lcms, and
 coprime leading monomials.  Skipping them changes which Groebner basis is
-found on the way, never the reduced basis made from it.
+found on the way, never the reduced basis made from it.  A pair it does
+reduce goes from two table rows to pending terms with no Polynomial in
+between; most of them still reduce to zero.
 """
 
 from __future__ import annotations
@@ -83,32 +87,20 @@ def _inverse_lc(f: Polynomial):
     return c if c == 1 else f.ctx.field.inv(c)
 
 
-def _monic_terms(f: Polynomial):
-    """The terms of f divided by its leading coefficient; no products when
-    that is 1."""
-    terms = f.terms
-    c = terms[f.lm()]
-    if c == 1:
-        return terms.items()
-    c = f.ctx.field.inv(c)
-    return [(m, v * c) for m, v in terms.items()]
-
-
-def _divide(f: Polynomial, table: list, quotients=None) -> dict:
-    """Remainder terms of f on division by the table's divisors.
+def _divide(ctx, pending: dict, table: list) -> dict:
+    """Remainder terms of the sum in ``pending`` on division by the table's
+    divisors; ``pending`` (monomial -> coefficient) is used up.
 
     Terms are taken largest first and each goes to the first divisor whose
     leading monomial divides it.  Coefficients are summed unreduced while
     pending; a term is reduced mod p when it is taken, so a term that
     cancelled is skipped then.  Every term a step adds is below the term it
     removes, so no monomial is taken twice; a new term whose exponent would
-    reach 2^15 raises ValueError.  When ``quotients`` is given,
-    quotients[i] receives divisor i's quotient terms.
+    reach 2^15 raises ValueError.  The remainder's coefficients are reduced
+    and nonzero.
     """
-    ctx = f.ctx
     p = ctx.field.char
     guard = ctx.guard
-    pending = dict(f.terms)
     heap = [-m for m in pending]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -120,7 +112,7 @@ def _divide(f: Polynomial, table: list, quotients=None) -> dict:
             c %= p
         if not c:
             continue
-        for idx, (lm_b, lc_inv, tail) in enumerate(table):
+        for lm_b, lc_inv, tail in table:
             shift = m - lm_b
             if shift & guard:
                 continue
@@ -129,8 +121,6 @@ def _divide(f: Polynomial, table: list, quotients=None) -> dict:
                 q = c * lc_inv
                 if p:
                     q %= p
-            if quotients is not None:
-                quotients[idx][shift] = q
             for mb, neg_cb in tail:
                 key = shift + mb
                 if key in pending:
@@ -146,32 +136,6 @@ def _divide(f: Polynomial, table: list, quotients=None) -> dict:
     return remainder
 
 
-def _check_divisors(ctx, divisors) -> None:
-    for b in divisors:
-        if b.ctx != ctx:
-            raise ValueError("divisor from a different ring")
-        if b.is_zero():
-            raise ValueError("zero divisor polynomial")
-
-
-def divmod_basis(f: Polynomial, divisors) -> tuple:
-    """Divide f by an ordered list of polynomials.
-
-    Returns (quotients, remainder) with f == sum(q_i * b_i) + r, no monomial
-    of r divisible by any leading monomial of the divisors, and every
-    product q_i * b_i having leading monomial <= lm(f).
-    """
-    divisors = list(divisors)
-    ctx = f.ctx
-    _check_divisors(ctx, divisors)
-    quotients = [dict() for _ in divisors]
-    remainder = _divide(f, _division_table(divisors), quotients)
-    return (
-        [Polynomial._from_sums(ctx, q) for q in quotients],
-        Polynomial._from_sums(ctx, remainder),
-    )
-
-
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis (its polynomials in order).
 
@@ -182,33 +146,46 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     divisors = basis.polys if kept else list(basis)
     if not divisors:
         return f
-    _check_divisors(f.ctx, divisors)
+    ctx = f.ctx
+    for b in divisors:
+        if b.ctx != ctx:
+            raise ValueError("divisor from a different ring")
+        if b.is_zero():
+            raise ValueError("zero divisor polynomial")
     table = basis.division_table if kept else _division_table(divisors)
-    return Polynomial._from_sums(f.ctx, _divide(f, table))
+    return Polynomial._from_sums(ctx, _divide(ctx, dict(f.terms), table))
+
+
+def _s_pair(ctx, row_f, row_g, lcm) -> dict:
+    """Terms of the S-polynomial of two monic polynomials, given by their
+    ``_division_table`` rows and the lcm of their leading monomials.
+
+    The leading terms cancel and are left out; the negated tails are
+    shifted up to the lcm, f's with its sign flipped back.  A term whose
+    exponent would reach 2^15 raises ValueError.
+    """
+    lm_f, _, tail_f = row_f
+    lm_g, _, tail_g = row_g
+    shift = lcm - lm_f
+    out = {m + shift: -c for m, c in tail_f}
+    get = out.get
+    shift = lcm - lm_g
+    for m, c in tail_g:
+        key = m + shift
+        out[key] = get(key, 0) + c
+    _check_exponents(ctx, out)
+    return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g, with lcm that of the leading monomials.
-
-    A monic input is only shifted, without multiplying its coefficients by
-    its inverse leading coefficient of 1; inside ``buchberger`` every
-    element is monic.
-    """
+    """lcm/lt(f) * f - lcm/lt(g) * g, with lcm that of the leading monomials."""
     if f.ctx != g.ctx:
         raise ValueError("polynomials from different rings")
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
     ctx = f.ctx
-    lm_f, lm_g = f.lm(), g.lm()
-    lcm = ctx.lcm(lm_f, lm_g)
-    shift_f, shift_g = lcm - lm_f, lcm - lm_g
-    out = {m + shift_f: c for m, c in _monic_terms(f)}
-    get = out.get
-    for m, c in _monic_terms(g):
-        key = m + shift_g
-        out[key] = get(key, 0) - c
-    _check_exponents(ctx, out)
-    return Polynomial._from_sums(ctx, out)
+    row_f, row_g = _division_table([f.monic(), g.monic()])
+    return Polynomial._from_sums(ctx, _s_pair(ctx, row_f, row_g, ctx.lcm(f.lm(), g.lm())))
 
 
 def buchberger(basis: IdealBasis) -> IdealBasis:
@@ -220,9 +197,12 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
     S-polynomial has a representation through pairs that are kept, so the
     basis found is still a Groebner basis, and the reduced basis made from
     it is the same: the reduced basis is unique for the ideal and the order.
-    Pairs are processed by (lcm degree, lcm, indices).  The division table
-    holds every element found, including those the update takes out of pair
-    generation, so each divisor's leading data is set up once per run.
+    Pairs are processed by (lcm degree, lcm, indices).  Every element is
+    monic, so an S-pair is written from the two division-table rows straight
+    into the division's pending terms (``_s_pair``), and only a nonzero
+    remainder becomes a ``Polynomial``.  The division table holds every
+    element found, including those the update takes out of pair generation,
+    so each divisor's leading data is set up once per run.
     """
     work = [p.monic() for p in basis.polys]
     if not work:
@@ -235,11 +215,11 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
         active = _update(ctx, leads, active, pairs, t)
 
     while pairs:
-        _, _, a, b = heapq.heappop(pairs)
-        r = Polynomial._from_sums(ctx, _divide(s_polynomial(work[a], work[b]), table))
-        if r.is_zero():
+        _, lcm, a, b = heapq.heappop(pairs)
+        r = _divide(ctx, _s_pair(ctx, table[a], table[b], lcm), table)
+        if not r:
             continue
-        r = r.monic()
+        r = Polynomial._from_sums(ctx, r).monic()
         work.append(r)
         leads.append(r.lm())
         table += _division_table([r])
@@ -263,29 +243,43 @@ def _update(ctx, leads, active, pairs, t) -> list:
        monomials (those S-polynomials reduce to zero);
     5. take the active elements whose leading monomial lm(t) divides out of
        pair generation.
-    Returns the new active list; ``pairs`` is changed in place.
+    Returns the new active list; ``pairs`` is changed in place.  The lcm
+    and degree are ``PolyContext.lcm`` and ``PolyContext.degree`` written
+    out on the packed ints.
     """
-    guard, lcm = ctx.guard, ctx.lcm
+    guard, halves, top = ctx.guard, ctx._pairs, FIELD_BITS - 1
     h = leads[t]
-    kept = [pair for pair in pairs
-            if (pair[1] - h) & guard
-            or lcm(leads[pair[2]], h) == pair[1]
-            or lcm(leads[pair[3]], h) == pair[1]]
-    if len(kept) < len(pairs):
-        pairs[:] = kept
+    h_up = h + guard
+    drop = set()
+    for pair in [pair for pair in pairs if not (pair[1] - h) & guard]:
+        m = pair[1]
+        for a in (leads[pair[2]], leads[pair[3]]):
+            ge = (a + guard - h) & guard  # guard bit set where a's field >= h's
+            mask = ge - (ge >> top)
+            if (a & mask) | (h & ~mask) == m:
+                break
+        else:
+            drop.add(pair)
+    if drop:
+        pairs[:] = [pair for pair in pairs if pair not in drop]
         heapq.heapify(pairs)
 
     new = {}  # lcm -> [lowest g, coprime seen]
     for g in active:
-        lm_g = leads[g]
-        m = lcm(lm_g, h)
+        a = leads[g]
+        ge = (h_up - a) & guard  # guard bit set where h's field >= a's
+        mask = ge - (ge >> top)
+        m = (h & mask) | (a & ~mask)
         entry = new.get(m)
         if entry is None:
-            new[m] = [g, lm_g + h == m]
-        elif lm_g + h == m:
+            new[m] = [g, a + h == m]
+        elif a + h == m:
             entry[1] = True
+    # A divisor of a key is a smaller int, so int order lists every lcm
+    # after its proper divisors; the heap order does not depend on the
+    # order of pushes.
     minimal = []
-    for deg, m in sorted((ctx.degree(m), m) for m in new):
+    for m in sorted(new):
         for d in minimal:
             if not (m - d) & guard:
                 break
@@ -293,13 +287,15 @@ def _update(ctx, leads, active, pairs, t) -> list:
             minimal.append(m)
             g, coprime = new[m]
             if not coprime:
+                deg = ((m & halves) + (m >> FIELD_BITS & halves)) % 0xFFFFFFFF
                 heapq.heappush(pairs, (deg, m, g, t))
     return [g for g in active if (leads[g] - h) & guard] + [t]
 
 
 def _interreduce(polys) -> list:
     """Minimalize by leading-monomial divisibility, then reduce each
-    element's tail against one table of the minimal elements; monic output.
+    element's tail, taken from one table of the minimal elements, against
+    that table; monic output.
 
     An element's own leading monomial never divides a term met while its
     tail is reduced: every such term is lex-smaller than it.
@@ -308,17 +304,19 @@ def _interreduce(polys) -> list:
         return []
     ctx = polys[0].ctx
     guard = ctx.guard
-    minimal = []
+    minimal, leads = [], []
     for p in sorted(polys, key=lambda p: (ctx.degree(p.lm()), p.lm())):
         lm = p.lm()
-        if all((lm - q.lm()) & guard for q in minimal):
+        for d in leads:
+            if not (lm - d) & guard:
+                break
+        else:
             minimal.append(p)
+            leads.append(lm)
     table = _division_table(minimal)
     reduced = []
-    for p in minimal:
-        lm = p.lm()
-        tail = Polynomial._from_sums(ctx, {m: c for m, c in p.terms.items() if m != lm})
-        rest = _divide(tail, table)
+    for p, (lm, _, tail) in zip(minimal, table):
+        rest = _divide(ctx, {m: -c for m, c in tail}, table)
         rest[lm] = p.terms[lm]
         reduced.append(Polynomial._from_sums(ctx, rest).monic())
     return reduced
@@ -352,17 +350,6 @@ def frobenius_power(basis: IdealBasis, q: int) -> IdealBasis:
         if any(max(ctx.exponents(m)) * q >= EXP_LIMIT for m in g.terms):
             raise ValueError(f"the {q}-th power would give an exponent of 2^15 or more")
     return IdealBasis(Polynomial(ctx, {m * q: c for m, c in g.terms.items()}) for g in basis.polys)
-
-
-def colon_contains(f: Polynomial, gens: IdealBasis, groebner_of_target: IdealBasis) -> bool:
-    """Does f lie in (target : ideal(gens))?
-
-    ``groebner_of_target`` must be marked as a Groebner basis; membership of
-    each product f * g is decided by normal form against it.
-    """
-    if not groebner_of_target.marked_groebner:
-        raise ValueError("colon test needs a verified Groebner basis of the target")
-    return all(normal_form(f * g, groebner_of_target).is_zero() for g in gens.polys)
 
 
 def not_in_bracket_m(f: Polynomial, q: int) -> bool:

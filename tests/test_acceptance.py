@@ -32,11 +32,11 @@ from beideals import (
 from beideals.edgeideals import fedder_check
 from beideals.groebner import (
     buchberger,
-    colon_contains,
     frobenius_power,
     not_in_bracket_m,
 )
 from hochster_oracle import betti_by_restriction
+from test_groebner import colon_contains
 
 
 def connected_classes(n_max):

@@ -12,6 +12,7 @@ from beideals import (
     NotClosedError,
     PolyContext,
     admissible_groebner_basis,
+    admissible_paths,
     buchberger,
     edge_binomial,
     edge_ideal_generators,
@@ -85,6 +86,35 @@ def test_elements_factor_as_monomial_times_binomial():
             u = ctx.one().times_term(e.path_monomial, ctx.field.one)
             assert e.poly == u * edge_binomial(ctx, e.path.i, e.path.j)
             assert e.path_monomial == path_monomial(ctx, e.path)
+
+
+def basis_per_pair(g, fld):
+    """The basis from the public per-pair calls: admissible_paths(g, i, j)
+    for each pair, then u * f_ij as a product of polynomials."""
+    ctx = PolyContext(g.n, fld)
+    elems = []
+    for i, j in itertools.combinations(range(1, g.n + 1), 2):
+        f_ij = edge_binomial(ctx, i, j)
+        for path in admissible_paths(g, i, j):
+            u = path_monomial(ctx, path)
+            elems.append((path, u, f_ij.times_term(u, fld.one)))
+    elems.sort(key=lambda e: (e[2].degree(), e[2].lm()))
+    return elems
+
+
+def test_basis_and_initial_ideal_match_per_pair_construction():
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            sigma = find_closed_labeling(g)
+            for h in {g, relabel(g, sigma) if sigma else g}:
+                for fld in (QQ, GF(2), GF(3)):
+                    got = [(e.path, e.path_monomial, e.poly) for e in admissible_groebner_basis(h, fld)]
+                    want = basis_per_pair(h, fld)
+                    assert got == want, (h, fld)
+                    assert [[type(c) for c in e[2].terms.values()] for e in got] == \
+                        [[type(c) for c in e[2].terms.values()] for e in want]
+                heads = [e[2].ctx.exponents(e[2].lm()) for e in want]
+                assert initial_ideal_generators(h) == heads
 
 
 def test_basis_is_reduced():

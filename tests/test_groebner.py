@@ -14,8 +14,6 @@ from beideals import (
     PolyContext,
     admissible_groebner_basis,
     buchberger,
-    colon_contains,
-    divmod_basis,
     edge_ideal_generators,
     enumerate_connected_graphs,
     find_closed_labeling,
@@ -34,6 +32,26 @@ from tuple_polys import from_packed, pack, to_packed
 
 def edge_basis(g, fld=QQ):
     return edge_ideal_generators(PolyContext(g.n, fld), g)
+
+
+def divmod_basis(f, divisors) -> tuple:
+    """(quotients, remainder) of f on division by the divisors in order: the
+    quotients from the tuple reference, the remainder from ``normal_form``.
+    f == sum(q_i * b_i) + r holds only when the two divisions agree."""
+    divisors = list(divisors)
+    qs, _ = tuple_polys.divmod_basis(from_packed(f), map(from_packed, divisors))
+    return [to_packed(q) for q in qs], normal_form(f, divisors)
+
+
+def colon_contains(f, gens: IdealBasis, groebner_of_target: IdealBasis) -> bool:
+    """Does f lie in (target : ideal(gens))?
+
+    ``groebner_of_target`` must be marked as a Groebner basis; membership of
+    each product f * g is decided by normal form against it.
+    """
+    if not groebner_of_target.marked_groebner:
+        raise ValueError("colon test needs a verified Groebner basis of the target")
+    return all(normal_form(f * g, groebner_of_target).is_zero() for g in gens.polys)
 
 
 def is_groebner_basis(basis) -> bool:
@@ -230,6 +248,16 @@ def test_division_exponent_overflow():
         s_polynomial(x + top, y)  # y * (x + y^(2^15 - 1)) - x * y
 
 
+def test_buchberger_s_pair_exponent_overflow():
+    # the leads x1 * y1 and x1 are not coprime, so the pair is reduced; its
+    # S-polynomial y1 * (x1 + y1^(2^15 - 1)) - x1 * y1 needs y1^(2^15)
+    ctx = PolyContext(1, GF(2))
+    x, y = ctx.x(1), ctx.y(1)
+    with pytest.raises(ValueError, match="2\\^15"):
+        buchberger(IdealBasis([x + y ** (2**15 - 1), x * y]))
+    assert buchberger(IdealBasis([x + y ** (2**15 - 2), x * y])).polys == (x + y ** (2**15 - 2), y ** (2**15 - 1))
+
+
 def test_divmod_matches_tuple_reference():
     rng = random.Random(43)
     for fld in (QQ, GF(2), GF(5)):
@@ -240,10 +268,8 @@ def test_divmod_matches_tuple_reference():
             divisors = [random_poly(ctx, rng, nterms=2, maxdeg=2) + random_poly(ctx, rng, nterms=2, maxdeg=3)
                         for _ in range(rng.randint(1, 4))]
             divisors = [d for d in divisors if not d.is_zero()]
-            qs, r = divmod_basis(f, divisors)
-            want_qs, want_r = tuple_polys.divmod_basis(from_packed(f), map(from_packed, divisors))
-            assert [from_packed(q) for q in qs] == want_qs
-            assert from_packed(r) == want_r
+            _, want_r = tuple_polys.divmod_basis(from_packed(f), map(from_packed, divisors))
+            assert from_packed(normal_form(f, divisors)) == want_r
 
 
 def test_buchberger_matches_tuple_reference():
@@ -336,7 +362,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_pair_criteria_cut_s_polynomials(monkeypatch):
-    ours = count_calls(monkeypatch, groebner, "s_polynomial")
+    ours = count_calls(monkeypatch, groebner, "_s_pair")  # one call per reduced pair
     plain = count_calls(monkeypatch, tuple_polys, "s_polynomial")
     counts = {}
     for name, g in (("K5", Graph(5, itertools.combinations(range(1, 6), 2))),
@@ -353,6 +379,22 @@ def test_pair_criteria_cut_s_polynomials(monkeypatch):
     # sharing x_i has lcm x_i*y_j*y_l, which no third leading monomial
     # divides, so no criterion applies: all 20 such pairs must be reduced.
     assert counts["K5"] == (20, 20)
+
+
+def test_s_pairs_reduced_over_small_classes(monkeypatch):
+    # Pins how many S-pairs buchberger reduces on every connected class with
+    # n <= 5 under classify's labeling; a change to the pair order or the
+    # criteria shows up here before it shows up in a running time.
+    calls = count_calls(monkeypatch, groebner, "_s_pair")
+    counts = []
+    for fld in (QQ, GF(2)):
+        calls.clear()
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                sigma = find_closed_labeling(g)
+                buchberger(edge_basis(relabel(g, sigma) if sigma else g, fld))
+        counts.append(len(calls))
+    assert counts == [407, 407]
 
 
 def test_interreduce_matches_tuple_reference():
