@@ -11,8 +11,17 @@ and beta_{0,0} = 1 comes out of the same sum through sigma = {} (the
 restriction there is the complex whose only face is the empty set).  A
 vertex of sigma outside every generator support contained in sigma is a
 cone point of the restriction, whose reduced homology then vanishes.  So
-only the sets covered by their own supports count, and those are exactly
-the unions of generator supports, which are built directly.
+only the sets covered by their own supports count: the unions of
+generator supports.
+
+The sum is decided on sets of subsets held as Python ints.  With the k
+appearing variables renumbered 0..k-1 in order, subset sigma is bit sigma
+of an int with 2^k bits.  ``HAS[v]`` is the set of subsets containing v,
+``LEVEL[s]`` the set of subsets of size s, and the subsets containing a
+support m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  A subset is a
+union when each of its vertices lies in a support inside it, and it is a
+face when it contains no support, so both are a few dozen int operations
+for all subsets at once.
 
 Most unions are decided by a smaller one.  When the link of a vertex v in
 the restriction to sigma is a cone, the restriction is the deletion of v,
@@ -22,12 +31,22 @@ reduced homology over every coefficient ring.  The link is a cone with
 apex u when every support m inside sigma through u has a witness for v: a
 support m2 with m2 - m = {v} (for an edge ideal, N(u) in N(v)).  The
 check is only sufficient, so it stays exact for repeated and non-minimal
-generators.  Such a union adds the ranks of sigma - v, or nothing when
-sigma - v is no union, since then a vertex of sigma - v is a cone point.
-Under classify's labelings with n <= 6 that leaves the homology of 3,770
-of the 76,148 unions to compute.
+generators.  As sets: v is dominated in sigma when sigma is a union
+containing v and, for some u != v, it contains u and none of the supports
+through u without a witness for v.  Under classify's labelings with n <= 6 only
+3,770 of the 76,148 unions have no dominated vertex.
 
-Each of those restrictions is visited once, whatever the number of fields.
+Only those roots go through homology.  Roots with the same nonzero ranks
+form a group, and each group spreads along domination, one vertex at a
+time: sigma + v joins when v is dominated in it, and then has the ranks
+of sigma.  Every union with nonzero homology is reached: for a dominated
+v, sigma - v has the same nonzero ranks, so it is a union too (any other
+subset is a cone) and, by induction on size, in the group already.  No
+union joins two groups, since its ranks decide its group.  A group then
+adds popcount(group AND LEVEL[s]) times its ranks to the entries with
+j = s.
+
+Each root's restriction is visited once, whatever the number of fields.
 Its faces are built by extension (``star_quotient_levels``), leaving out
 the closed star of one vertex: the star is a cone, so the faces outside it
 carry the same reduced homology over every coefficient ring.  The F_2
@@ -38,18 +57,24 @@ when the F_2 homology is zero or sits in a single degree, the QQ homology
 equals it.  Only when the F_2 homology is spread over two or more degrees
 do the QQ ranks come from exact fraction-free elimination over Z.  Odd F_p
 always uses exact elimination mod p.  Nothing is sampled.
+
+Every set operation costs O(2^k) bits, so the work grows with 2^k even when
+the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal
+of every graph with n <= 10 fits (k <= 2n); larger inputs are refused
+before any lattice is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .simplicial import (
-    face_levels,
-    homology_by_field,
-    star_quotient_levels,
-    support_masks,
-)
+from .graphs import LimitExceededError
+from .simplicial import homology_by_field, star_quotient_levels, support_masks
+
+# Most appearing variables betti_tables accepts: its sets of subsets have
+# 2^MAX_APPEARING bits (128 KiB each at 20).
+MAX_APPEARING = 20
 
 
 @dataclass(frozen=True)
@@ -86,85 +111,138 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
     """Graded Betti numbers of S/I over several coefficient fields at once.
 
     Tables can differ between characteristics, which is why the field list
-    is explicit; the faces of each restriction are built once and only the
-    ranks are recomputed.  A union with a dominated vertex v takes the
-    ranks of the union sigma - v, visited before it because it is a smaller
-    int, or none when sigma - v is no union.  The Krull dimension is the
-    largest face of the complex: the largest face on the appearing
-    variables, from one full ``face_levels`` pass, plus the absent
+    is explicit; the faces of each root restriction are built once and only
+    the ranks are recomputed.  The work is bitset algebra on the 2^k
+    subsets of the k appearing variables, plus the homology of the unions
+    with no dominated vertex; raises ``LimitExceededError`` when k exceeds
+    ``MAX_APPEARING``.  The Krull dimension is the largest face, the top
+    level that meets the complement of every ``SUP(m)``, plus the absent
     variables, which are cone points.
     """
-    masks = support_masks(mingens, nvars)
-    # the restrictions with no cone point are exactly the unions of supports
-    unions = {0}
-    for m in masks:
-        unions |= {u | m for u in unions}
-    appearing = max(unions)  # the union of all supports
-    witnessed = _witnessed_by_vertex(masks)
-    homology: dict = {}  # union -> ranks by field, () when all vanish
+    local, k = _renumbered(support_masks(mingens, nvars))
+    if k > MAX_APPEARING:
+        raise LimitExceededError(
+            f"Betti tables are capped at {MAX_APPEARING} appearing variables, got {k}"
+        )
+    _, has, level = _lattice(k)
+    unions, faces, dominated = _subset_sets(local, k)
+    roots = unions
+    for d in dominated:
+        roots &= ~d
+    groups: dict = {}  # nonzero ranks by field -> roots with those ranks
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        sigma = low.bit_length() - 1
+        ranks = homology_by_field(star_quotient_levels(local, sigma), fields)
+        key = tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+        if any(key):
+            groups[key] = groups.get(key, 0) | low
     tables: list = [dict() for _ in fields]
-    for sigma in sorted(unions):
-        v = _dominated_vertex(witnessed, sigma)
-        if v:
-            ranks = homology.get(sigma ^ v, ())
-        else:
-            ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
-        homology[sigma] = ranks
-        size = sigma.bit_count()
-        for table, by_degree in zip(tables, ranks):
-            for d, h in by_degree.items():
-                if h:
-                    key = (size - 1 - d, size)
-                    table[key] = table.get(key, 0) + h
+    for key, group in groups.items():
+        group = _spread(group, dominated, has)
+        for size, subsets in enumerate(level):
+            count = (group & subsets).bit_count()
+            if count:
+                for table, by_degree in zip(tables, key):
+                    for d, h in by_degree:
+                        entry = (size - 1 - d, size)
+                        table[entry] = table.get(entry, 0) + count * h
+    top = max(size for size, subsets in enumerate(level) if faces & subsets)
     return BettiTables(
         [BettiTable(tuple(sorted(t.items()))) for t in tables],
-        len(face_levels(masks, appearing)) - 1 + nvars - appearing.bit_count(),
+        top + nvars - k,
     )
 
 
-def _witnessed_by_vertex(masks) -> list:
-    """Pairs (u, through): for each vertex u, the distinct supports m
-    through u, each with the mask of the vertices v that have a witness for
-    m, a support m2 with m2 - m = {v}."""
-    distinct = sorted(set(masks))
-    through: dict = {}
-    for m in distinct:
-        witnessed = 0
-        for m2 in distinct:
+def _renumbered(masks) -> tuple:
+    """The distinct supports, sorted, with the k appearing variables
+    renumbered 0..k-1 in increasing order, and k."""
+    appearing = 0
+    for m in masks:
+        appearing |= m
+    kept = [v for v in range(appearing.bit_length()) if appearing >> v & 1]
+    local = {sum(1 << i for i, v in enumerate(kept) if m >> v & 1) for m in masks}
+    return sorted(local), len(kept)
+
+
+@lru_cache(maxsize=None)
+def _lattice(k: int) -> tuple:
+    """The set of all 2^k subsets, ``HAS[v]`` for each vertex v, and
+    ``LEVEL[s]`` for s = 0..k, as ints with bit sigma for subset sigma.
+    Kept for every k seen; all k up to ``MAX_APPEARING`` take about 12 MiB."""
+    size = 1 << k
+    has = []
+    for v in range(k):
+        period = 2 << v
+        pattern = ((1 << (1 << v)) - 1) << (1 << v)  # one period: v off, then on
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+    level = [1]  # the subsets of no vertices: only the empty one, of size 0
+    for v in range(k):
+        level = [low | high << (1 << v) for low, high in zip(level + [0], [0] + level)]
+    return (1 << size) - 1, tuple(has), tuple(level)
+
+
+def _subset_sets(local, k: int) -> tuple:
+    """The unions of the supports ``local`` on vertices 0..k-1, the faces,
+    and for each vertex v the unions in which v is dominated: its link is a
+    cone with apex some u != v.
+
+    That holds when sigma contains u and every support m inside sigma
+    through u has a witness for v, a support m2 with m2 - m = {v}.  Such an
+    m2 lies in m + v, so inside sigma.  It avoids u, or it would be a
+    support inside sigma through u that contains v, and no support has a
+    witness for its own vertex.  So if F is a face of the link and
+    F + u + v contains a support m, then m passes through u and F + v
+    contains m2, which is impossible.  When m2 is {v}, v is no vertex and
+    the restrictions to sigma and sigma - v are equal.
+    """
+    full, has, _ = _lattice(k)
+    through = [[] for _ in range(k)]  # u -> (SUP(m), witnessed vertices of m)
+    for m in local:
+        sup, witnessed = full, 0
+        for m2 in local:
             extra = m2 & ~m
             if extra & (extra - 1) == 0:
                 witnessed |= extra
-        rest = m
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            through.setdefault(u, []).append((m, witnessed))
-    return sorted(through.items())
+        vertices = [u for u in range(k) if m >> u & 1]
+        for u in vertices:
+            sup &= has[u]
+        for u in vertices:
+            through[u].append((sup, witnessed))
+    unions = faces = full
+    apexes = [0] * k  # v -> the subsets with an apex u for v
+    for u, pairs in enumerate(through):
+        covered = candidates = 0
+        for s, w in pairs:
+            covered |= s
+            candidates |= w
+        unions &= ~has[u] | covered
+        faces &= ~covered
+        for v in range(k):
+            if candidates >> v & 1:
+                blocked = 0
+                for s, w in pairs:
+                    if not w >> v & 1:
+                        blocked |= s
+                apexes[v] |= has[u] & ~blocked
+    return unions, faces, [unions & has[v] & a for v, a in enumerate(apexes)]
 
 
-def _dominated_vertex(witnessed, sigma: int) -> int:
-    """A vertex v of the union ``sigma`` whose link is a cone, or 0.
-
-    The link of v is a cone with apex u when every support m inside sigma
-    through u has a witness m2 for v.  Such an m2 lies in m + v, so inside
-    sigma.  It avoids u, or it would be a support inside sigma through u
-    that contains v, and no support has a witness for its own vertex.  So
-    if F is a face of the link and F + u + v contains a support m, then m
-    passes through u and F + v contains m2, which is impossible.  When m2
-    is {v}, v is no vertex and the restrictions to sigma and sigma - v are
-    equal.
-    """
-    for u, through in witnessed:
-        if sigma & u:
-            dominated = sigma ^ u
-            for m, vs in through:
-                if m & sigma == m:
-                    dominated &= vs
-                    if not dominated:
-                        break
-            if dominated:
-                return dominated & -dominated
-    return 0
+def _spread(group: int, dominated, has) -> int:
+    """``group`` closed under adding a vertex v in which v is dominated."""
+    frontier = group
+    while frontier:
+        grown = 0
+        for v, d in enumerate(dominated):
+            if d:
+                grown |= (frontier & ~has[v]) << (1 << v) & d
+        frontier = grown & ~group
+        group |= frontier
+    return group
 
 
 def betti_table(mingens, nvars: int, fld) -> BettiTable:

@@ -21,9 +21,10 @@ from beideals import (
     render_betti,
 )
 
-from beideals.betti import _dominated_vertex, _witnessed_by_vertex
+from beideals.betti import MAX_APPEARING, _renumbered, _subset_sets
 from beideals.classify import graph_id
 from beideals.graphs import (
+    LimitExceededError,
     enumerate_connected_graphs,
     find_closed_labeling,
     is_closed_with_labeling,
@@ -230,6 +231,72 @@ def betti_tables_per_union(mingens, nvars, fields, memo=None):
     return tables
 
 
+def witnessed_by_vertex(masks) -> list:
+    """Pairs (u, through): for each vertex u, the distinct supports m
+    through u, each with the mask of the vertices v that have a witness for
+    m, a support m2 with m2 - m = {v}."""
+    distinct = sorted(set(masks))
+    through: dict = {}
+    for m in distinct:
+        witnessed = 0
+        for m2 in distinct:
+            extra = m2 & ~m
+            if extra & (extra - 1) == 0:
+                witnessed |= extra
+        rest = m
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            through.setdefault(u, []).append((m, witnessed))
+    return sorted(through.items())
+
+
+def dominated_vertex(witnessed, sigma: int) -> int:
+    """The lowest vertex v of the union ``sigma`` whose link is a cone with
+    apex u, for the first vertex u of sigma that is such an apex, or 0:
+    the domination rule decided for one union at a time."""
+    for u, through in witnessed:
+        if sigma & u:
+            dominated = sigma ^ u
+            for m, vs in through:
+                if m & sigma == m:
+                    dominated &= vs
+                    if not dominated:
+                        break
+            if dominated:
+                return dominated & -dominated
+    return 0
+
+
+def lattice_domination(masks) -> tuple:
+    """The supports renumbered onto the appearing variables, the unions of
+    supports as a bitset over subsets, and for each vertex v the unions in
+    which betti_tables finds v dominated."""
+    local, k = _renumbered(masks)
+    unions, _, dominated = _subset_sets(local, k)
+    return local, unions, dominated
+
+
+def test_domination_sets_match_per_union_oracle():
+    unions_seen = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for h in filter(None, [classify_labeled(g), first_open_relabeling(g)]):
+                masks = support_masks(initial_ideal_generators(h), 2 * n)
+                local, unions, dominated = lattice_domination(masks)
+                witnessed = witnessed_by_vertex(local)
+                want = unions_of_supports(local)
+                assert unions == sum(1 << sigma for sigma in want), h.edges
+                for sigma in want:
+                    found = [v for v, d in enumerate(dominated) if d >> sigma & 1]
+                    v = dominated_vertex(witnessed, sigma)
+                    assert bool(found) == bool(v), (h.edges, sigma)
+                    assert not v or v.bit_length() - 1 in found, (h.edges, sigma)
+                unions_seen += len(want)
+    # 76,149 under classify's labelings (K_1 included), 84,449 under the open ones
+    assert unions_seen == 160598
+
+
 def test_dominated_vertices_match_per_union_loop():
     fields = [QQ, GF(2), GF(3)]
     memo = {}  # restriction pattern -> ranks, shared by all the graphs below
@@ -260,6 +327,24 @@ def test_dominated_vertices_match_per_union_loop_at_n7():
         gens = initial_ideal_generators(classify_labeled(g))
         tables = betti_tables(gens, 14, fields)
         assert [t.as_dict() for t in tables] == betti_tables_per_union(gens, 14, fields), g.edges
+
+
+def test_dominated_vertices_match_per_union_loop_at_n8():
+    # K_8, K_8 without a perfect matching (it has an induced C_4) and K_8
+    # without a 5-cycle (an induced C_5); the last two are not chordal, so
+    # not closed.  Built directly, with no n = 8 enumeration
+    fields = [QQ, GF(2), GF(3)]
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    matching = {(1, 2), (3, 4), (5, 6), (7, 8)}
+    pentagon = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
+    memo = {}
+    for drop in (set(), matching, pentagon):
+        g = Graph(8, [e for e in pairs if e not in drop])
+        assert (find_closed_labeling(g) is None) == bool(drop)
+        gens = initial_ideal_generators(classify_labeled(g))
+        tables = betti_tables(gens, 16, fields)
+        want = betti_tables_per_union(gens, 16, fields, memo)
+        assert [t.as_dict() for t in tables] == want, g.edges
 
 
 def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
@@ -296,9 +381,10 @@ def test_pendant_dominates_on_a_bipartite_edge_ideal():
 
     full = (1 << 7) - 1
     cycle = full ^ 1 << 6
-    witnessed = _witnessed_by_vertex(masks)
-    assert _dominated_vertex(witnessed, full) in (1 << 0, 1 << 2)
-    assert _dominated_vertex(witnessed, cycle) == 0
+    _, unions, dominated = lattice_domination(masks)
+    assert unions >> full & 1 and unions >> cycle & 1
+    assert [v for v, d in enumerate(dominated) if d >> full & 1] == [0, 2]
+    assert not any(d >> cycle & 1 for d in dominated)
     # deleting 0 leaves the path 6-1-2-3-4-5, whose independence complex is
     # a circle; that of C_6 is a wedge of two circles
     for v in (0, 2):
@@ -306,6 +392,15 @@ def test_pendant_dominates_on_a_bipartite_edge_ideal():
     assert reduced_homology(cycle) == [{1: 2}] * 3
     tables = betti_tables(gens, 7, fields)
     assert [t.as_dict() for t in tables] == betti_tables_per_union(gens, 7, fields)
+
+
+def test_appearing_variables_are_capped():
+    # absent variables cost nothing; the 2^k-bit lattice stops at k = 20
+    tables = betti_tables([(1,) * MAX_APPEARING + (0,)], MAX_APPEARING + 1, [QQ])
+    assert tables[0].as_dict() == {(0, 0): 1, (1, MAX_APPEARING): 1}
+    assert tables.krull_dim == MAX_APPEARING
+    with pytest.raises(LimitExceededError, match="capped at 20 appearing variables, got 21"):
+        betti_tables([(1,) * 21], 21, [QQ])
 
 
 def test_structural_invariants():

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven in process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -135,6 +136,15 @@ def test_betti_grid_and_summary(p3, capsys):
     assert main(["betti", p3, "--field", "f2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"] == {"regularity": 2, "pd": 2, "type": 1}
+
+
+def test_betti_over_the_variable_cap_exits_3(tmp_path, capsys):
+    # in(J_{P_12}) has 22 appearing variables, over the cap of 20
+    p12 = write_graph(tmp_path, "p12.json", 12, [(i, i + 1) for i in range(1, 12)])
+    start = time.perf_counter()
+    assert main(["betti", p12]) == 3
+    assert time.perf_counter() - start < 1
+    assert "capped at 20 appearing variables, got 22" in capsys.readouterr().err
 
 
 def test_weight_output(p3, capsys):
