@@ -66,20 +66,20 @@ def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     """The lex Groebner basis of the edge ideal, one element per admissible path.
 
     Elements come out sorted by (total degree, leading monomial); each is
-    monic with leading monomial u * x_i * y_j.  The graph's adjacency is
-    built once for all pairs (i, j), and u * f_ij is written from packed
-    keys for each path.
+    monic with leading monomial u * x_i * y_j.  The path search reads the
+    graph's neighbour masks for every pair (i, j), and u * f_ij is written
+    from packed keys for each path.
     """
     ctx = PolyContext(g.n, fld)
     n, shift = g.n, ctx.shift
     x = [0] + [1 << shift(k - 1) for k in range(1, n + 1)]  # x[k], y[k]: packed keys
     y = [0] + [1 << shift(n + k - 1) for k in range(1, n + 1)]
     one, neg_one = fld.one, fld.neg(fld.one)
-    adj = g.adjacency()
+    masks = g.masks
     elems = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            paths = _admissible_paths(adj, i, j)
+            paths = _admissible_paths(masks, i, j)
             if not paths:
                 continue
             pos, neg = x[i] + y[j], x[j] + y[i]  # the terms of f_ij
@@ -99,11 +99,11 @@ def initial_ideal_generators(g: Graph) -> list:
     of Herzog, Hibi, Hreinsdottir, Kahle & Rauh (2010).
     """
     n = g.n
-    adj = g.adjacency()
+    masks = g.masks
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for path in _admissible_paths(adj, i, j):
+            for path in _admissible_paths(masks, i, j):
                 exps = [0] * (2 * n)
                 exps[i - 1] = exps[n + j - 1] = 1
                 for k in path.interior:

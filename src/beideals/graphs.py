@@ -1,5 +1,9 @@
 """Finite simple graphs on vertex set {1, ..., n} and their path data.
 
+A ``Graph`` carries one adjacency, built once when it is constructed: the
+tuple ``masks`` of neighbour bitmasks, where bit u - 1 of entry v - 1 is set
+for each neighbour u of v.  Every algorithm below reads these masks.
+
 Provides the closedness predicates, a LexBFS search for closed labelings,
 admissible-path enumeration, a canonical labeling (minimum upper-triangular
 adjacency bit-string over all vertex permutations, found by branch and
@@ -25,7 +29,11 @@ class LimitExceededError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; vertices are 1..n, edges normalized (i, j) with i < j."""
+    """Simple undirected graph; vertices are 1..n, edges normalized (i, j) with i < j.
+
+    ``masks[v - 1]`` has bit u - 1 set for each neighbour u of v.  It is
+    not a field, so equality, hashing and repr see only n and the edges.
+    """
 
     n: int
     edges: frozenset
@@ -34,6 +42,7 @@ class Graph:
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         norm = set()
+        masks = [0] * n
         for e in edges:
             i, j = e
             if i == j:
@@ -41,28 +50,35 @@ class Graph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             norm.add((min(i, j), max(i, j)))
+            masks[i - 1] |= 1 << (j - 1)
+            masks[j - 1] |= 1 << (i - 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "masks", tuple(masks))
 
     def adjacency(self) -> dict:
-        adj: dict = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        """Vertex -> set of neighbours, for callers outside the package."""
+        return {v: {u + 1 for u in _bits(m)} for v, m in enumerate(self.masks, 1)}
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
     def degree_sequence(self) -> tuple:
-        adj = self.adjacency()
-        return tuple(sorted(len(adj[v]) for v in adj))
+        return tuple(sorted(m.bit_count() for m in self.masks))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _is_int(v) -> bool:
@@ -87,16 +103,15 @@ def graph_from_json_dict(data: dict) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    adj = g.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    masks = g.masks
+    seen = frontier = 1  # vertex 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= masks[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -117,19 +132,20 @@ def is_path_graph(g: Graph) -> bool:
 def is_closed_with_labeling(g: Graph) -> bool:
     """Closedness of the given labeling.
 
-    For every pair of distinct edges {i, j} and {k, l}, written with i < j
-    and k < l: a shared minimum (i == k) forces {j, l} to be an edge, and a
-    shared maximum (j == l) forces {i, k} to be an edge.
+    The definition: for every pair of distinct edges {i, j} and {k, l},
+    written with i < j and k < l, a shared minimum (i == k) forces {j, l}
+    to be an edge, and a shared maximum (j == l) forces {i, k} to be an
+    edge.  Grouped by the shared vertex v, that says the neighbours of v
+    above v form a clique, and so do the neighbours below v; this is
+    checked with one mask test per neighbour, O(n * deg) in all.
     """
-    edges = g.sorted_edges()
-    for a in range(len(edges)):
-        i, j = edges[a]
-        for b in range(a + 1, len(edges)):
-            k, l = edges[b]
-            if i == k and not g.has_edge(j, l):
-                return False
-            if j == l and not g.has_edge(i, k):
-                return False
+    masks = g.masks
+    for v, nb in enumerate(masks):
+        below = nb & ((1 << v) - 1)
+        for side in (below, nb ^ below):
+            for u in _bits(side):
+                if side & ~masks[u] != 1 << u:
+                    return False
     return True
 
 
@@ -140,18 +156,21 @@ def relabel(g: Graph, sigma) -> Graph:
     return Graph(g.n, [(sigma[i - 1], sigma[j - 1]) for i, j in g.edges])
 
 
-def _lexbfs(adj: dict, rank: dict) -> list:
-    """Vertices in LexBFS order; among equal labels the highest ``rank`` goes first."""
-    n = len(adj)
-    label = {v: 0 for v in adj}
+def _lexbfs(masks: tuple, prefer) -> list:
+    """Vertices, 0-indexed, in LexBFS order on the neighbour masks; among
+    equal labels the vertex that comes first in ``prefer`` goes first."""
+    n = len(masks)
+    left = list(prefer)
+    label = [0] * n
     order = []
     for step in range(n):
-        v = max(label, key=lambda u: (label[u], rank[u]))
-        del label[v]
+        v = max(left, key=label.__getitem__)  # the first of the largest labels
+        left.remove(v)
         order.append(v)
-        for w in adj[v]:
-            if w in label:
-                label[w] |= 1 << (n - 1 - step)
+        bit, nb = 1 << (n - 1 - step), masks[v]
+        for w in left:
+            if nb >> w & 1:
+                label[w] |= bit
     return order
 
 
@@ -163,15 +182,15 @@ def find_closed_labeling(g: Graph):
     is a proper interval ordering whenever one exists (Corneil 2004).  The
     first sweep breaks ties by the smallest vertex, each later one by the
     vertex that came last in the previous sweep.  Components are swept one
-    after another, so disconnected graphs are handled too.  Returns sigma
-    with vertex v mapped to sigma[v - 1], its position in the third sweep.
+    after another, so disconnected graphs are handled too.  The sweeps read
+    the neighbour masks and keep the tie order in a vertex list.  Returns
+    sigma with vertex v mapped to sigma[v - 1], its position in the third
+    sweep, once ``is_closed_with_labeling`` accepts the relabeled graph.
     """
-    adj = g.adjacency()
-    order = _lexbfs(adj, {v: -v for v in adj})
+    order = _lexbfs(g.masks, range(g.n))
     for _ in range(2):
-        order = _lexbfs(adj, {v: k for k, v in enumerate(order)})
-    position = {v: k for k, v in enumerate(order, 1)}
-    sigma = tuple(position[v] for v in range(1, g.n + 1))
+        order = _lexbfs(g.masks, reversed(order))
+    sigma = tuple(order.index(v) + 1 for v in range(g.n))
     return sigma if is_closed_with_labeling(relabel(g, sigma)) else None
 
 
@@ -210,30 +229,40 @@ def admissible_paths(g: Graph, i: int, j: int) -> list:
 
     Condition (iii) says the path has no chord, so a depth-first search
     extends a path by w only when w is adjacent to no vertex of the path
-    except its last one.
+    except its last one.  The search runs on the graph's neighbour masks
+    and takes the free neighbours lowest bit first, which gives the paths
+    in lexicographic order.  A path whose last vertex is adjacent to j ends
+    there, since every longer extension would have a chord to j.
     """
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError(f"endpoints ({i}, {j}) out of range")
     if i >= j:
         raise ValueError(f"need i < j, got ({i}, {j})")
-    return _admissible_paths(g.adjacency(), i, j)
+    return _admissible_paths(g.masks, i, j)
 
 
-def _admissible_paths(adj: dict, i: int, j: int) -> list:
-    """``admissible_paths`` on a graph's ``adjacency()``, for callers that
-    loop over many pairs (i, j) of one graph; the endpoints are not checked."""
+def _admissible_paths(masks: tuple, i: int, j: int) -> list:
+    """``admissible_paths`` on a graph's ``masks``, for callers that loop
+    over many pairs (i, j) of one graph; the endpoints are not checked."""
     found = []
+    target = 1 << (j - 1)
 
     def extend(seq, blocked):
-        # blocked: the path's vertices and every neighbour of its non-last vertices
-        v = seq[-1]
-        for w in sorted(adj[v] - blocked):
-            if w == j:
-                found.append(AdmissiblePath(seq + (j,)))
-            elif w < i or w > j:
-                extend(seq + (w,), blocked | adj[v])
+        # blocked: the path's vertices, every neighbour of its non-last
+        # vertices, and the vertices strictly between i and j
+        nb = masks[seq[-1] - 1]
+        if nb & target:
+            found.append(AdmissiblePath(seq + (j,)))
+            return
+        free = nb & ~blocked
+        blocked |= nb
+        while free:
+            low = free & -free
+            free ^= low
+            extend(seq + (low.bit_length(),), blocked)
 
-    extend((i,), {i})
+    between = (1 << (j - 1)) - (1 << i)  # bits i .. j - 2: vertices i + 1 .. j - 1
+    extend((i,), between | 1 << (i - 1))
     return found
 
 
@@ -247,14 +276,10 @@ def adjacency_code(g: Graph) -> int:
     Bit order runs (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n) from the
     most significant bit down.
     """
-    m = g.n * (g.n - 1) // 2
     code = 0
-    t = 0
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            t += 1
-            if (i, j) in g.edges:
-                code |= 1 << (m - t)
+    for v, nb in enumerate(g.masks):
+        for w in range(v + 1, g.n):
+            code = code << 1 | nb >> w & 1
     return code
 
 
@@ -273,11 +298,7 @@ def canonical_form(g: Graph):
     Returns (code, sigma) where sigma is a permutation tuple (vertex v
     maps to sigma[v - 1]) achieving the minimum.
     """
-    n = g.n
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
+    n, adj = g.n, g.masks
     twin = [next(u for u in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
             for v in range(n)]
     # 2**low[k] is the weight of the last bit of row k (0-indexed positions)
@@ -321,11 +342,7 @@ def automorphisms(g: Graph):
     far.  When the last vertex is placed every edge has been checked, so
     every leaf of the search is an automorphism.
     """
-    n = g.n
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
+    n, adj = g.n, g.masks
     deg = [a.bit_count() for a in adj]
     order = []
     for root in range(n):
@@ -356,17 +373,18 @@ def automorphisms(g: Graph):
     yield from extend(0, 0)
 
 
-def _new_neighbourhoods(parent: Graph, deg: list) -> list:
+def _new_neighbourhoods(parent: Graph) -> list:
     """Neighbourhood masks for a new vertex, one per orbit of Aut(parent),
     among those that give the new vertex the maximum degree of the child.
 
     Bit v - 1 stands for vertex v.  Joined to S, the new vertex has degree
-    |S| and vertex v has deg[v] + 1 when it lies in S, deg[v] otherwise.
-    An automorphism keeps that condition, so masks are filtered first and
-    then reduced: masks go in increasing order, and each one not yet seen
-    is kept and its orbit marked seen, so the smallest of each orbit stays.
+    |S|, and a vertex of S gains one.  An automorphism keeps that
+    condition, so masks are filtered first and then reduced: masks go in
+    increasing order, and each one not yet seen is kept and its orbit
+    marked seen, so the smallest of each orbit stays.
     """
     m = parent.n
+    deg = [a.bit_count() for a in parent.masks]
     at_degree = [0] * (m + 1)
     for v, d in enumerate(deg):
         at_degree[d] |= 1 << v
@@ -392,30 +410,33 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     representative on n - 1 vertices, disconnected ones included, gets a
     new vertex n joined to one neighbourhood per orbit of its automorphism
     group.  A child is accepted when n could be the vertex its canonical
-    deletion removes: the vertex of maximum degree that comes last in the
-    canonical labeling, taken up to automorphisms of the child.  So n must
-    have maximum degree, which most children fail before ``canonical_form``
-    runs, and when the canonical vertex u is not n itself, some automorphism
-    must map n to u.  Every class is then accepted exactly once: deleting
-    its canonical vertex gives one parent class, and children of one parent
-    that are isomorphic by a map fixing n come from one orbit.
+    deletion removes: among the vertices with the largest key (degree, sum
+    of the neighbours' degrees), the one that comes last in the canonical
+    labeling, taken up to automorphisms of the child.  The key is an
+    isomorphism invariant, so that vertex's orbit is determined by the
+    class alone.  So n must have the largest key, which most children fail
+    before ``canonical_form`` runs (the degree part already when the
+    neighbourhoods are chosen), and when the canonical vertex u is not n
+    itself, some automorphism must map n to u.  Every class is then
+    accepted exactly once: deleting its canonical vertex gives one parent
+    class, and children of one parent that are isomorphic by a map fixing
+    n come from one orbit.
     """
     if n == 1:
         return (Graph(1, []),)
     m = n - 1
     found = []
     for parent in _all_graphs_up_to_iso(m):
-        deg = [0] * m
-        for i, j in parent.edges:
-            deg[i - 1] += 1
-            deg[j - 1] += 1
         base = list(parent.edges)
-        for s in _new_neighbourhoods(parent, deg):
-            k = s.bit_count()
-            child = Graph(n, base + [(v + 1, n) for v in range(m) if s >> v & 1])
+        for s in _new_neighbourhoods(parent):
+            masks = [a | (s >> v & 1) << m for v, a in enumerate(parent.masks)] + [s]
+            deg = [a.bit_count() for a in masks]
+            key = [(deg[v], sum(deg[u] for u in _bits(a))) for v, a in enumerate(masks)]
+            if key[m] < max(key):
+                continue
+            child = Graph(n, base + [(v + 1, n) for v in _bits(s)])
             code, sigma = canonical_form(child)
-            heaviest = [v for v in range(m) if deg[v] + (s >> v & 1) == k] + [m]
-            u = max(heaviest, key=lambda v: sigma[v])
+            u = max((v for v in range(n) if key[v] == key[m]), key=lambda v: sigma[v])
             if u == m or any(a[m] == u + 1 for a in automorphisms(child)):
                 found.append((code, relabel(child, sigma)))
     found.sort(key=lambda pair: pair[0])

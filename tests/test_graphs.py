@@ -7,11 +7,15 @@ branch-and-bound canonical form against a minimum over all n! relabelings,
 automorphism groups against a permutation scan and networkx's matcher, and
 the enumeration by canonical augmentation against the former
 extend-and-dedupe generator, the networkx graph atlas, a scan of all edge
-subsets and the known class counts.
+subsets and the known class counts.  The former set- and dict-based path
+search, pairwise closedness test and LexBFS are kept here as oracles for
+the versions that read the neighbour masks.
 """
 
+import collections
 import functools
 import itertools
+import pickle
 import random
 import time
 
@@ -19,6 +23,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import beideals.graphs
 from beideals import (
     Graph,
     LimitExceededError,
@@ -26,7 +31,9 @@ from beideals import (
     adjacency_code,
     automorphisms,
     canonical_form,
+    classify_graph,
     enumerate_connected_graphs,
+    fedder_check,
     find_closed_labeling,
     graph_from_json_dict,
     is_closed_with_labeling,
@@ -97,6 +104,18 @@ def test_connectivity_and_paths():
     assert is_path_graph(Graph(4, [(2, 1), (1, 3), (3, 4)]))  # path, scrambled labels
     assert not is_path_graph(complete_graph(3))
     assert not is_path_graph(Graph(4, [(1, 2), (1, 3), (1, 4)]))
+
+
+def test_graph_value_semantics():
+    # the masks are derived data: equality, hashing and repr see only n and
+    # the edges, and a pickle (how classify --jobs sends graphs) keeps them
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    h = Graph(4, [(4, 1), (4, 3), (2, 1), (3, 2)])
+    assert g == h and hash(g) == hash(h)
+    assert g.masks == h.masks == (0b1010, 0b0101, 0b1010, 0b0101)
+    assert repr(g) == f"Graph(n=4, edges={g.edges!r})"
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.masks == g.masks
 
 
 def test_json_round_trip():
@@ -449,3 +468,123 @@ def test_automorphisms_of_symmetric_graphs_stay_cheap():
 def test_enumeration_limit():
     with pytest.raises(LimitExceededError):
         enumerate_connected_graphs(ENUMERATION_LIMIT + 1)
+
+
+def test_augmentation_rejects_children_before_canonical_form(monkeypatch):
+    # children whose new vertex lacks the largest (degree, neighbour degree
+    # sum) key are dropped without a canonical form
+    calls = collections.Counter()
+
+    def counting(g):
+        calls[g.n] += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(beideals.graphs, "canonical_form", counting)
+    _all_graphs_up_to_iso.cache_clear()
+    assert len(_all_graphs_up_to_iso(7)) == 1044
+    assert sum(calls[n] for n in range(1, 7)) == 210
+    assert calls[7] == 1096
+
+
+# the set- and dict-based graph layer, kept as oracles ---------------------
+
+def adjacency_sets(g):
+    """Vertex -> set of neighbours, built from the edge set alone."""
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def admissible_paths_by_sets(adj, i, j):
+    """The former depth-first search on neighbour sets, as vertex tuples."""
+    found = []
+
+    def extend(seq, blocked):
+        v = seq[-1]
+        for w in sorted(adj[v] - blocked):
+            if w == j:
+                found.append(seq + (j,))
+            elif w < i or w > j:
+                extend(seq + (w,), blocked | adj[v])
+
+    extend((i,), {i})
+    return found
+
+
+def closed_by_edge_pairs(g):
+    """The pairwise definition: two edges with a shared minimum, or with a
+    shared maximum, force the edge between their other endpoints."""
+    edges = g.sorted_edges()
+    for a, (i, j) in enumerate(edges):
+        for k, l in edges[a + 1:]:
+            if i == k and not g.has_edge(j, l):
+                return False
+            if j == l and not g.has_edge(i, k):
+                return False
+    return True
+
+
+def lexbfs_by_dict(adj, rank):
+    """LexBFS on neighbour sets; among equal labels the highest rank goes first."""
+    n = len(adj)
+    label = {v: 0 for v in adj}
+    order = []
+    for step in range(n):
+        v = max(label, key=lambda u: (label[u], rank[u]))
+        del label[v]
+        order.append(v)
+        for w in adj[v]:
+            if w in label:
+                label[w] |= 1 << (n - 1 - step)
+    return order
+
+
+def closed_labeling_by_dict_lexbfs(g):
+    """The former find_closed_labeling: three sweeps, then the pairwise test."""
+    adj = adjacency_sets(g)
+    order = lexbfs_by_dict(adj, {v: -v for v in adj})
+    for _ in range(2):
+        order = lexbfs_by_dict(adj, {v: k for k, v in enumerate(order)})
+    position = {v: k for k, v in enumerate(order, 1)}
+    sigma = tuple(position[v] for v in range(1, g.n + 1))
+    return sigma if closed_by_edge_pairs(relabel(g, sigma)) else None
+
+
+def test_mask_graph_layer_matches_set_oracles():
+    # every graph with n <= 7, disconnected ones included, as given and
+    # under two seeded relabelings: equal paths in equal order, equal
+    # closedness and the same sigma
+    rng = random.Random(23)
+    count = 0
+    for n in range(1, 8):
+        for rep in _all_graphs_up_to_iso(n):
+            for g in (rep, shuffled(rep, rng), shuffled(rep, rng)):
+                adj = adjacency_sets(g)
+                assert g.adjacency() == adj, g
+                assert g.degree_sequence() == tuple(sorted(map(len, adj.values()))), g
+                assert is_closed_with_labeling(g) == closed_by_edge_pairs(g), g
+                assert find_closed_labeling(g) == closed_labeling_by_dict_lexbfs(g), g
+                for i, j in itertools.combinations(range(1, n + 1), 2):
+                    got = [p.vertices for p in admissible_paths(g, i, j)]
+                    assert got == admissible_paths_by_sets(adj, i, j), (g, i, j)
+                count += 1
+    assert count == 3 * 1252  # OEIS A000088 summed over n <= 7
+
+
+def test_nothing_in_the_package_builds_the_set_adjacency(monkeypatch):
+    calls = []
+    original = Graph.adjacency
+    monkeypatch.setattr(Graph, "adjacency", lambda g: calls.append(g) or original(g))
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            classify_graph(g)
+    closed = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert is_closed_with_labeling(closed)
+    for i, j in itertools.combinations(range(1, 6), 2):
+        admissible_paths(closed, i, j)
+    assert fedder_check(closed, 2).valid
+    assert calls == []
+    closed.adjacency()  # the counter itself is live
+    assert calls == [closed]
