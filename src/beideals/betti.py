@@ -14,11 +14,10 @@ cone point of the restriction, whose reduced homology then vanishes.  So
 only the sets covered by their own supports count: the unions of
 generator supports.
 
-The sum is decided on sets of subsets held as Python ints.  With the k
-appearing variables renumbered 0..k-1 in order, subset sigma is bit sigma
-of an int with 2^k bits.  ``HAS[v]`` is the set of subsets containing v,
-``LEVEL[s]`` the set of subsets of size s, and the subsets containing a
-support m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  A subset is a
+The sum is decided on sets of subsets held as Python ints, on the subset
+lattice of ``simplicial``: with the k appearing variables renumbered
+0..k-1 in order, subset sigma is bit sigma of an int with 2^k bits, and
+``HAS``, ``LEVEL`` and ``SUP(m)`` are as defined there.  A subset is a
 union when each of its vertices lies in a support inside it, and it is a
 face when it contains no support, so both are a few dozen int operations
 for all subsets at once.
@@ -47,16 +46,17 @@ adds popcount(group AND LEVEL[s]) times its ranks to the entries with
 j = s.
 
 Each root's restriction is visited once, whatever the number of fields.
-Its faces are built by extension (``star_quotient_levels``), leaving out
-the closed star of one vertex: the star is a cone, so the faces outside it
-carry the same reduced homology over every coefficient ring.  The F_2
-ranks come from XOR elimination on int bitset rows.  The QQ ranks are
-certified from F_2 when that is proven: dim_Q H~_i <= dim_F2 H~_i for every
-i (universal coefficients) and the two Euler characteristics agree, so
-when the F_2 homology is zero or sits in a single degree, the QQ homology
-equals it.  Only when the F_2 homology is spread over two or more degrees
-do the QQ ranks come from exact fraction-free elimination over Z.  Odd F_p
-always uses exact elimination mod p.  Nothing is sampled.
+``star_quotient_levels`` takes its faces on sigma's own lattice of
+2^|sigma| subsets and leaves out the closed star of the vertex in the
+most faces: the star is a cone, so the faces outside it carry the same
+reduced homology over every coefficient ring.  The F_2 ranks come from
+XOR elimination on int bitset rows.  The QQ ranks are certified from F_2
+when that is proven: dim_Q H~_i <= dim_F2 H~_i for every i (universal
+coefficients) and the two Euler characteristics agree, so when the F_2
+homology is zero or sits in a single degree, the QQ homology equals it.
+Only when the F_2 homology is spread over two or more degrees do the QQ
+ranks come from exact fraction-free elimination over Z.  Odd F_p always
+uses exact elimination mod p.  Nothing is sampled.
 
 Every set operation costs O(2^k) bits, so the work grows with 2^k even when
 the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal
@@ -67,14 +67,15 @@ before any lattice is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import LimitExceededError
-from .simplicial import homology_by_field, star_quotient_levels, support_masks
-
-# Most appearing variables betti_tables accepts: its sets of subsets have
-# 2^MAX_APPEARING bits (128 KiB each at 20).
-MAX_APPEARING = 20
+from .simplicial import (
+    MAX_APPEARING,
+    homology_by_field,
+    star_quotient_levels,
+    subset_lattice,
+    support_masks,
+)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
         raise LimitExceededError(
             f"Betti tables are capped at {MAX_APPEARING} appearing variables, got {k}"
         )
-    _, has, level = _lattice(k)
+    _, has, level = subset_lattice(k)
     unions, faces, dominated = _subset_sets(local, k)
     roots = unions
     for d in dominated:
@@ -166,26 +167,6 @@ def _renumbered(masks) -> tuple:
     return sorted(local), len(kept)
 
 
-@lru_cache(maxsize=None)
-def _lattice(k: int) -> tuple:
-    """The set of all 2^k subsets, ``HAS[v]`` for each vertex v, and
-    ``LEVEL[s]`` for s = 0..k, as ints with bit sigma for subset sigma.
-    Kept for every k seen; all k up to ``MAX_APPEARING`` take about 12 MiB."""
-    size = 1 << k
-    has = []
-    for v in range(k):
-        period = 2 << v
-        pattern = ((1 << (1 << v)) - 1) << (1 << v)  # one period: v off, then on
-        while period < size:
-            pattern |= pattern << period
-            period <<= 1
-        has.append(pattern)
-    level = [1]  # the subsets of no vertices: only the empty one, of size 0
-    for v in range(k):
-        level = [low | high << (1 << v) for low, high in zip(level + [0], [0] + level)]
-    return (1 << size) - 1, tuple(has), tuple(level)
-
-
 def _subset_sets(local, k: int) -> tuple:
     """The unions of the supports ``local`` on vertices 0..k-1, the faces,
     and for each vertex v the unions in which v is dominated: its link is a
@@ -200,7 +181,7 @@ def _subset_sets(local, k: int) -> tuple:
     contains m2, which is impossible.  When m2 is {v}, v is no vertex and
     the restrictions to sigma and sigma - v are equal.
     """
-    full, has, _ = _lattice(k)
+    full, has, _ = subset_lattice(k)
     through = [[] for _ in range(k)]  # u -> (SUP(m), witnessed vertices of m)
     for m in local:
         sup, witnessed = full, 0

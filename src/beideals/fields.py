@@ -5,9 +5,14 @@ F_p (elements are ints in ``range(p)``).  A rational is an ``int`` when it
 is a whole number and a ``fractions.Fraction`` otherwise, so the +-1
 coefficients of binomial edge ideals stay in int arithmetic.  Arithmetic
 on Fractions may leave a whole number as a Fraction; that is harmless,
-since ``Fraction(k) == k`` and the two hash and print alike.  Everything
-downstream does its arithmetic through a field object so that Groebner
-bases, normal forms and homology ranks are exact in either characteristic.
+since ``Fraction(k) == k`` and the two hash and print alike.
+
+A field object gives coercion, inverses and the characteristic.  The hot
+loops of ``polys``, ``groebner`` and ``simplicial`` do not go through it:
+they read ``char`` and use Python's own operators on ints (and Fractions
+over QQ), reducing mod p where p > 0, and call the field at most to
+coerce or invert.  Groebner bases, normal forms and homology ranks are
+exact in either characteristic.
 """
 
 from __future__ import annotations

@@ -28,17 +28,11 @@ from .polys import EXP_LIMIT, FIELD_BITS, Polynomial, _check_exponents
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A generating set, kept sorted by (total degree, leading monomial).
-
-    ``marked_groebner`` records that every S-polynomial of the list reduces
-    to zero under lex; only ``buchberger`` sets it.  The flag gates the
-    operations whose answers are only meaningful against a Groebner basis.
-    """
+    """A generating set, kept sorted by (total degree, leading monomial)."""
 
     polys: tuple
-    marked_groebner: bool = False
 
-    def __init__(self, polys, marked_groebner: bool = False):
+    def __init__(self, polys):
         polys = tuple(polys)
         for p in polys:
             if not isinstance(p, Polynomial):
@@ -51,7 +45,6 @@ class IdealBasis:
                 raise ValueError("mixed rings in one basis")
         ordered = tuple(sorted(polys, key=lambda p: (p.degree(), p.lm())))
         object.__setattr__(self, "polys", ordered)
-        object.__setattr__(self, "marked_groebner", marked_groebner)
 
     def __len__(self):
         return len(self.polys)
@@ -206,7 +199,7 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
     """
     work = [p.monic() for p in basis.polys]
     if not work:
-        return IdealBasis([], marked_groebner=True)
+        return IdealBasis([])
     ctx = work[0].ctx
     table = _division_table(work)
     leads = [p.lm() for p in work]
@@ -225,7 +218,7 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
         table += _division_table([r])
         active = _update(ctx, leads, active, pairs, len(work) - 1)
 
-    return IdealBasis(_interreduce([work[k] for k in active]), marked_groebner=True)
+    return IdealBasis(_interreduce([work[k] for k in active]))
 
 
 def _update(ctx, leads, active, pairs, t) -> list:

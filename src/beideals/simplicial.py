@@ -6,14 +6,27 @@ A subset is a face exactly when it contains no generator's support.  The
 reduced chain complex includes the empty face, so the homology of the
 complex whose only face is the empty set has rank 1 in dimension -1.
 
-Faces are built by extension, never by scanning subsets, and come grouped
-by size.  Boundary ranks over F_2 use int bitset rows and XOR elimination;
-over QQ and odd F_p they use signed dict rows and exact elimination.
+Sets of subsets are Python ints on the subset lattice: with s vertices
+numbered 0..s-1, subset f is bit f of an int with 2^s bits.  ``HAS[v]`` is
+the set of subsets containing v, ``LEVEL[j]`` the set of subsets of size j,
+and the subsets containing a support m are ``SUP(m)``, the AND of
+``HAS[v]`` over v in m.  The faces of a restriction are then the full set
+minus every ``SUP(m)``, a few int operations for all subsets at once, and
+``by_size`` lists them.  Boundary ranks over F_2 use int bitset rows and
+XOR elimination; over QQ and odd F_p they use signed dict rows and exact
+elimination.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .fields import GF
+from .graphs import LimitExceededError
+
+# Most vertices a subset lattice is built for: its sets of subsets have
+# 2^MAX_APPEARING bits (128 KiB each at 20).
+MAX_APPEARING = 20
 
 
 def support_masks(mingens, nvars: int) -> list:
@@ -34,6 +47,47 @@ def support_masks(mingens, nvars: int) -> list:
     return masks
 
 
+@lru_cache(maxsize=None)
+def subset_lattice(k: int) -> tuple:
+    """The set of all 2^k subsets, ``HAS[v]`` for each vertex v, and
+    ``LEVEL[s]`` for s = 0..k, as ints with bit sigma for subset sigma.
+    Kept for every k seen; all k up to ``MAX_APPEARING`` take about 12 MiB."""
+    size = 1 << k
+    has = []
+    for v in range(k):
+        period = 2 << v
+        pattern = ((1 << (1 << v)) - 1) << (1 << v)  # one period: v off, then on
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+    level = [1]  # the subsets of no vertices: only the empty one, of size 0
+    for v in range(k):
+        level = [low | high << (1 << v) for low, high in zip(level + [0], [0] + level)]
+    return (1 << size) - 1, tuple(has), tuple(level)
+
+
+def by_size(members: int) -> list:
+    """The subsets in the set ``members`` grouped by size, each group in
+    increasing order, with no empty groups after the last nonempty one.
+
+    The set bits are read off ``bin(members)`` from the right: one string
+    of the bits, then one ``rfind`` per member, where stepping by
+    ``x & -x`` would cost O(2^k) bits per member."""
+    levels: list = []
+    digits = bin(members)
+    top = len(digits) - 1
+    i = digits.rfind("1", 2)
+    while i >= 0:
+        f = top - i
+        size = f.bit_count()
+        while len(levels) <= size:
+            levels.append([])
+        levels[size].append(f)
+        i = digits.rfind("1", 2, i)
+    return levels
+
+
 # ----------------------------------------------------------------------
 # faces and homology of restrictions, used by Hochster's formula
 # ----------------------------------------------------------------------
@@ -41,10 +95,15 @@ def support_masks(mingens, nvars: int) -> list:
 def face_levels(masks, sigma: int) -> list:
     """Faces of the restriction to the vertex set ``sigma``, by size.
 
-    ``levels[k]`` lists the faces with k vertices as bitmasks, so
-    ``levels[0] == [0]`` and ``len(levels) - 1`` is the largest face size.
+    ``levels[k]`` lists the faces with k vertices as bitmasks, increasing,
+    so ``levels[0] == [0]`` and ``len(levels) - 1`` is the largest face size.
     """
-    return _grow([0], *_supports_in(masks, sigma), sigma)
+    faces, _ = _restriction(masks, sigma)
+    vertices = [1 << v for v in range(sigma.bit_length()) if sigma >> v & 1]
+    return [
+        [sum(u for i, u in enumerate(vertices) if f >> i & 1) for f in level]
+        for level in by_size(faces)
+    ]
 
 
 def star_quotient_levels(masks, sigma: int) -> list:
@@ -53,92 +112,44 @@ def star_quotient_levels(masks, sigma: int) -> list:
 
     The star is a cone with apex v, so it is acyclic, and the quotient has
     the reduced homology of the restriction over any coefficients.  A face
-    lies outside the star exactly when it avoids v and contains m - v for
-    a support m through v, so only those faces are built.  v is a vertex
-    in the fewest supports, which keeps the quotient small.  When no
-    vertex of ``sigma`` is a face the complex is {empty face}, returned
-    whole.
+    f lies outside the star exactly when it avoids v and f + v is no face.
+    The star holds the T faces through v and the T faces they give without
+    v, so v is the vertex in the most faces, which leaves the fewest.  When
+    no vertex of ``sigma`` is a face, nothing is left out and the whole
+    complex comes back.
+
+    The faces are renumbered onto sigma's vertices 0..|sigma|-1 in
+    increasing order, not given on sigma's own bits: homology depends only
+    on the face poset, which the renumbering keeps.
     """
-    local, containing = _supports_in(masks, sigma)
-    free = sigma
-    for m in local:
-        if m & (m - 1) == 0:
-            free &= ~m
-    if not free:
-        return [[0]]
-    v = min(_bits(free), key=lambda u: len(containing.get(u, ())))
-    roots = [m ^ v for m in containing.get(v, ())]
-    return _grow(roots, local, containing, sigma ^ v)
+    faces, has = _restriction(masks, sigma)
+    if has:
+        v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
+        faces &= ~(has[v] | faces >> (1 << v))
+    return by_size(faces)
 
 
-def _supports_in(masks, sigma: int) -> tuple:
-    """The supports inside ``sigma``, and a map from each vertex to those
-    of them that contain it."""
-    local = [m for m in masks if m & sigma == m]
-    containing: dict = {}
-    for m in local:
-        for u in _bits(m):
-            containing.setdefault(u, []).append(m)
-    return local, containing
-
-
-def _grow(roots, local, containing, sigma: int) -> list:
-    """Faces of the restriction to ``sigma`` that contain one of ``roots``,
-    by size.  ``local`` holds every support inside ``sigma`` (it may hold
-    more), and ``containing`` maps a vertex to the supports through it.
-
-    A face is grown only from the first root it contains, adding vertices
-    in increasing order, and each face g keeps the larger vertices w with
-    g | w a face.  When g = f | u was made from f, both f | u and f | w
-    are faces, so g | w is one unless a support containing u lies inside
-    g | w; those supports are the only ones checked, and no subset that is
-    not a face is ever built.
-    """
-    levels: list = [[]]
-    for i, root in enumerate(roots):
-        earlier = roots[:i]
-        stop = 0  # vertices w with root | w no face
-        for m in local:
-            rest = m & ~root
-            if rest == 0:
-                break  # the root itself is no face
-            if rest & (rest - 1) == 0:
-                stop |= rest
-        else:
-            frontier = [(root, sigma & ~root & ~stop)]
-            k = root.bit_count()
-            while frontier:
-                while len(levels) <= k:
-                    levels.append([])
-                level = levels[k]
-                grown = []
-                for f, ext in frontier:
-                    if any(e & ~f == 0 for e in earlier):
-                        continue  # grown from an earlier root
-                    level.append(f)
-                    while ext:
-                        u = ext & -ext
-                        ext ^= u
-                        g = f | u
-                        stop = 0
-                        for m in containing.get(u, ()):
-                            rest = m & ~g
-                            if rest & (rest - 1) == 0:
-                                stop |= rest
-                        grown.append((g, ext & ~stop))
-                frontier = grown
-                k += 1
-    return levels
-
-
-def _bits(mask: int) -> list:
-    """The single-bit masks of ``mask``, lowest first."""
-    out = []
-    while mask:
-        v = mask & -mask
-        out.append(v)
-        mask ^= v
-    return out
+def _restriction(masks, sigma: int) -> tuple:
+    """The faces of the restriction to ``sigma`` as a set over sigma's own
+    subset lattice, its vertices renumbered 0..s-1 in increasing order, and
+    that lattice's ``HAS``.  Raises ``LimitExceededError`` past
+    ``MAX_APPEARING`` vertices, before any lattice is built."""
+    s = sigma.bit_count()
+    if s > MAX_APPEARING:
+        raise LimitExceededError(
+            f"restrictions are capped at {MAX_APPEARING} vertices, got {s}"
+        )
+    full, has, _ = subset_lattice(s)
+    faces = full
+    for m in masks:
+        if m & sigma == m:
+            sup = full
+            while m:
+                low = m & -m
+                sup &= has[(sigma & low - 1).bit_count()]
+                m ^= low
+            faces &= ~sup
+    return faces, has
 
 
 def restriction_faces(masks, sigma: int) -> list:
@@ -242,9 +253,8 @@ def _boundary_ranks(levels, fld) -> list:
     other field they are dicts with alternating signs, ranked by exact
     elimination.
     """
-    ranks = [0]
-    index = {f: t for t, f in enumerate(levels[0])}
-    for faces in levels[1:]:
+    ranks, index = [], {}
+    for faces in levels:
         if fld.char == 2:
             rows = []
             for f in faces:

@@ -1,6 +1,7 @@
 """Classification harness: per-graph rows, report serialization, bound checks."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -25,6 +26,7 @@ from beideals import (
 
 CLAW_ID = "4-0b"
 C4_ID = "4-1e"
+GOLDEN_N6 = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "classify-n6"
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +197,11 @@ def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
     monkeypatch.setattr("beideals.classify.os.cpu_count", lambda: None)
     assert classify_range(RunConfig(2, 5, jobs=8)) == rows5  # CPU count unknown: no pool
     assert sizes == [4, 3]
+
+
+def test_reports_match_the_golden_bytes(classification_rows):
+    # the classify --n-max 6 report files, byte for byte, as the benchmark
+    # checks them; read only
+    rows = [r for r in classification_rows if r.n >= 2]
+    assert rows_to_csv(rows).encode() == (GOLDEN_N6 / "report.csv").read_bytes()
+    assert rows_to_json(rows, RunConfig(2, 6)).encode() == (GOLDEN_N6 / "report.json").read_bytes()

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from beideals import GF, QQ, Graph, PolyContext, initial_ideal_generators
-from beideals.graphs import enumerate_connected_graphs
+from beideals.graphs import LimitExceededError, enumerate_connected_graphs
 from beideals.simplicial import (
+    MAX_APPEARING,
+    by_size,
     face_levels,
     homology_by_field,
     matrix_rank,
@@ -186,6 +188,55 @@ def test_restriction_faces_against_subset_scan():
             assert all(f.bit_count() == k for k, level in enumerate(levels) for f in level)
 
 
+def test_restriction_faces_with_singletons_and_repeats_against_subset_scan():
+    # singleton supports take their vertex out of every face, and a
+    # repeated support must not clear its subsets twice
+    rng = random.Random(53)
+    for _ in range(60):
+        masks = []
+        for _ in range(rng.randint(1, 6)):
+            m = mask(*rng.sample(range(8), rng.randint(1, 3)))
+            masks += [m] * rng.randint(1, 2)
+        rng.shuffle(masks)
+        for sigma in every_sigma(masks):
+            got = restriction_faces(masks, sigma)
+            assert got == sorted(got, key=lambda f: (f.bit_count(), f))
+            assert sorted(got) == sorted(scan_restriction_faces(masks, sigma)), (masks, sigma)
+
+
+def test_by_size_against_a_direct_scan():
+    rng = random.Random(29)
+    members = [0, 1, 2, 3, (1 << 64) - 1, 1 << 100]
+    members += [rng.getrandbits(rng.randint(1, 1 << rng.randint(1, 12))) for _ in range(60)]
+    for x in members:
+        want = []
+        for f in range(x.bit_length()):
+            if x >> f & 1:
+                while len(want) <= f.bit_count():
+                    want.append([])
+                want[f.bit_count()].append(f)
+        assert by_size(x) == want, x
+
+
+def test_restrictions_past_the_cap_build_no_lattice(monkeypatch):
+    def no_lattice(k):
+        raise AssertionError(f"lattice of {k} vertices built")
+
+    monkeypatch.setattr("beideals.simplicial.subset_lattice", no_lattice)
+    sigma = (1 << MAX_APPEARING + 1) - 1
+    masks = [mask(0, 1), mask(1, 2)]
+    for levels in (face_levels, star_quotient_levels):
+        with pytest.raises(LimitExceededError, match="capped at 20 vertices, got 21"):
+            levels(masks, sigma)
+
+
+def onto(sigma, f):
+    """The face f, given on sigma's vertices renumbered 0..|sigma|-1 in
+    order, back on sigma's own bits."""
+    vertices = [1 << v for v in range(sigma.bit_length()) if sigma >> v & 1]
+    return sum(u for i, u in enumerate(vertices) if f >> i & 1)
+
+
 def test_star_quotient_keeps_the_homology():
     fields = [QQ, GF(2), GF(3)]
     for g in SAMPLE_GRAPHS:
@@ -194,12 +245,19 @@ def test_star_quotient_keeps_the_homology():
             full = face_levels(masks, sigma)
             quotient = star_quotient_levels(masks, sigma)
             faces = {f for level in full for f in level}
-            cut = {f for level in quotient for f in level}
-            # the faces outside the closed star of some vertex, or all of a
-            # complex without vertices
-            assert cut == faces if full == [[0]] else any(
-                cut == {f for f in faces if not f & v and f | v not in faces}
-                for v in full[1]
+            cut = {onto(sigma, f) for level in quotient for f in level}
+            # the faces outside the closed star of the vertex in the most
+            # faces, which leaves the fewest; all of a complex without vertices
+            outside = {
+                1 << v: {f for f in faces if not f >> v & 1 and f | 1 << v not in faces}
+                for v in range(sigma.bit_length())
+                if sigma >> v & 1
+            }
+            through = {v: sum(1 for f in faces if f & v) for v in outside}
+            most = max(through.values(), default=0)
+            assert len(cut) == min((len(q) for q in outside.values()), default=len(faces))
+            assert cut == faces if not outside else any(
+                cut == outside[v] for v in outside if through[v] == most
             ), (g.edges, sigma)
             got = [{d: h for d, h in r.items() if h} for r in homology_by_field(quotient, fields)]
             want = [{d: h for d, h in r.items() if h} for r in homology_by_field(full, fields)]
