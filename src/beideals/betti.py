@@ -74,6 +74,7 @@ from .simplicial import (
     homology_by_field,
     star_quotient_levels,
     subset_lattice,
+    subset_levels,
     support_masks,
 )
 
@@ -125,7 +126,8 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
         raise LimitExceededError(
             f"Betti tables are capped at {MAX_APPEARING} appearing variables, got {k}"
         )
-    _, has, level = subset_lattice(k)
+    _, has = subset_lattice(k)
+    level = subset_levels(k)
     unions, faces, dominated = _subset_sets(local, k)
     roots = unions
     for d in dominated:
@@ -181,7 +183,7 @@ def _subset_sets(local, k: int) -> tuple:
     contains m2, which is impossible.  When m2 is {v}, v is no vertex and
     the restrictions to sigma and sigma - v are equal.
     """
-    full, has, _ = subset_lattice(k)
+    full, has = subset_lattice(k)
     through = [[] for _ in range(k)]  # u -> (SUP(m), witnessed vertices of m)
     for m in local:
         sup, witnessed = full, 0

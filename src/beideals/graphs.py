@@ -6,8 +6,9 @@ for each neighbour u of v.  Every algorithm below reads these masks.
 
 Provides the closedness predicates, a LexBFS search for closed labelings,
 admissible-path enumeration, a canonical labeling (minimum upper-triangular
-adjacency bit-string over all vertex permutations, found by branch and
-bound), automorphism groups by a degree-refined backtracking search, and
+adjacency bit-string over all vertex permutations, found by refining an
+ordered partition of the unplaced vertices into cells, one placed vertex at
+a time), automorphism groups by a degree-refined backtracking search, and
 isomorphism-free generation of graphs by canonical augmentation: each class
 on n vertices is built once from one class on n - 1 vertices, with no table
 of the codes seen.
@@ -284,49 +285,69 @@ def adjacency_code(g: Graph) -> int:
 
 
 def canonical_form(g: Graph):
-    """Minimum adjacency code over all n! relabelings, by branch and bound.
+    """Minimum adjacency code over all n! relabelings, by a search over
+    ordered cells.
 
-    Positions 1..n are filled in order.  Bits between placed positions are
-    fixed, a placed row's c remaining ones go at best into its last c
-    columns, and an unplaced row is at best 0; that sum bounds every
-    completion from below.  Candidates are tried in order of it, and a
-    branch is cut once its bound reaches the best code found.  Of each twin
-    class (vertices with the same neighbours apart from each other) only
-    the first unused vertex is tried, since swapping twins is an
-    automorphism that fixes every placed vertex.
+    The code is read row by row, so row k is smallest when its ones sit in
+    the latest open positions.  Positions 1..n are filled in order, and the
+    unplaced vertices are kept as an ordered list of cells (bitmasks).
+    Placing v splits every cell into its non-neighbours of v, then its
+    neighbours of v, which fixes row k: per cell, zeros then ones.  Every
+    minimal completion orders the unplaced vertices by these cells, so the
+    next vertex comes from the first cell.  Of its vertices only those with
+    the smallest row go on (McKay & Piperno, J. Symbolic Comput. 60, 2014,
+    individualization and refinement, restricted to keep this code), and
+    of each twin class (vertices with the same neighbours apart from each
+    other) only one, since swapping twins is an automorphism that fixes
+    every placed vertex.  A branch is cut once its code so far exceeds the
+    same rows of the best code found.
 
     Returns (code, sigma) where sigma is a permutation tuple (vertex v
     maps to sigma[v - 1]) achieving the minimum.
     """
     n, adj = g.n, g.masks
-    twin = [next(u for u in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-            for v in range(n)]
-    # 2**low[k] is the weight of the last bit of row k (0-indexed positions)
-    low = [(n - 1 - k) * (n - 2 - k) // 2 for k in range(n)]
+    opened, closed = {}, {}  # the first vertex of each open and closed neighbourhood
+    twin = [min(opened.setdefault(a, v), closed.setdefault(a | 1 << v, v))
+            for v, a in enumerate(adj)]
     best = [1 << (n * (n - 1) // 2), ()]  # above every code
 
-    def place(order, unused, bound):
+    def place(order, cells, code):
         k = len(order)
-        if k == n:
-            best[:] = bound, order
+        if len(cells) == n - k:  # all cells are single vertices: the rest is forced
+            rest = [c.bit_length() - 1 for c in cells]
+            for i, v in enumerate(rest):
+                for u in rest[i + 1:]:
+                    code = code << 1 | adj[v] >> u & 1
+            if code < best[0]:
+                best[:] = code, order + tuple(rest)
             return
-        options = []
-        tried = set()
-        for v in range(n):
-            if unused >> v & 1 and twin[v] not in tried:
-                tried.add(twin[v])
-                b = bound + (((1 << (adj[v] & unused).bit_count()) - 1) << low[k])
-                for i, u in enumerate(order):
-                    if adj[u] >> v & 1:  # row i's highest open one moves to column k
-                        c = (adj[u] & unused).bit_count()
-                        b += (1 << (low[i] + n - 1 - k)) - (1 << (low[i] + c - 1))
-                options.append((b, v))
-        for b, v in sorted(options):
-            if b >= best[0]:
-                break
-            place(order + (v,), unused & ~(1 << v), b)
+        width = n - k - 1
+        top, picks, tried = None, [], set()
+        for v in _bits(cells[0]):
+            if twin[v] in tried:
+                continue
+            tried.add(twin[v])
+            nb, row = adj[v], 0
+            for c in cells:  # v only adds a leading zero, so cells[0] may keep it
+                row = row << c.bit_count() | (1 << (c & nb).bit_count()) - 1
+            if top is None or row < top:
+                top, picks = row, [v]
+            elif row == top:
+                picks.append(v)
+        code = code << width | top
+        if code > best[0] >> width * (width - 1) // 2:  # the rows still open
+            return
+        for v in picks:
+            nb, split = adj[v], []
+            for c in cells:
+                c &= ~(1 << v)
+                if c & ~nb:
+                    split.append(c & ~nb)
+                if c & nb:
+                    split.append(c & nb)
+            place(order + (v,), split, code)
 
-    place((), (1 << n) - 1, 0)
+    place((), [(1 << n) - 1], 0)
     code, order = best
     return code, tuple(order.index(v) + 1 for v in range(n))
 

@@ -8,11 +8,11 @@ complex whose only face is the empty set has rank 1 in dimension -1.
 
 Sets of subsets are Python ints on the subset lattice: with s vertices
 numbered 0..s-1, subset f is bit f of an int with 2^s bits.  ``HAS[v]`` is
-the set of subsets containing v, ``LEVEL[j]`` the set of subsets of size j,
-and the subsets containing a support m are ``SUP(m)``, the AND of
-``HAS[v]`` over v in m.  The faces of a restriction are then the full set
-minus every ``SUP(m)``, a few int operations for all subsets at once, and
-``by_size`` lists them.  Boundary ranks over F_2 use int bitset rows and
+the set of subsets containing v, ``LEVEL[j]`` the set of subsets of size j
+(built apart, for Hochster sums only), and the subsets containing a support
+m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  The faces of a
+restriction are then the full set minus every ``SUP(m)``, a few int
+operations for all subsets at once, and ``by_size`` lists them.  Boundary ranks over F_2 use int bitset rows and
 XOR elimination; over QQ and odd F_p they use signed dict rows and exact
 elimination.
 """
@@ -49,9 +49,9 @@ def support_masks(mingens, nvars: int) -> list:
 
 @lru_cache(maxsize=None)
 def subset_lattice(k: int) -> tuple:
-    """The set of all 2^k subsets, ``HAS[v]`` for each vertex v, and
-    ``LEVEL[s]`` for s = 0..k, as ints with bit sigma for subset sigma.
-    Kept for every k seen; all k up to ``MAX_APPEARING`` take about 12 MiB."""
+    """The set of all 2^k subsets and ``HAS[v]`` for each vertex v, as ints
+    with bit sigma for subset sigma.  Kept for every k seen; all k up to
+    ``MAX_APPEARING`` take about 5.3 MiB."""
     size = 1 << k
     has = []
     for v in range(k):
@@ -61,10 +61,19 @@ def subset_lattice(k: int) -> tuple:
             pattern |= pattern << period
             period <<= 1
         has.append(pattern)
+    return (1 << size) - 1, tuple(has)
+
+
+@lru_cache(maxsize=None)
+def subset_levels(k: int) -> tuple:
+    """``LEVEL[s]`` for s = 0..k: the subsets of size s of k vertices, as
+    ints with bit sigma for subset sigma.  Only ``betti_tables`` reads
+    them, once per k appearing variables, so restrictions never build
+    them; k = ``MAX_APPEARING`` takes about 2.5 MiB."""
     level = [1]  # the subsets of no vertices: only the empty one, of size 0
     for v in range(k):
         level = [low | high << (1 << v) for low, high in zip(level + [0], [0] + level)]
-    return (1 << size) - 1, tuple(has), tuple(level)
+    return tuple(level)
 
 
 def by_size(members: int) -> list:
@@ -139,7 +148,7 @@ def _restriction(masks, sigma: int) -> tuple:
         raise LimitExceededError(
             f"restrictions are capped at {MAX_APPEARING} vertices, got {s}"
         )
-    full, has, _ = subset_lattice(s)
+    full, has = subset_lattice(s)
     faces = full
     for m in masks:
         if m & sigma == m:

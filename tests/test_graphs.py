@@ -3,13 +3,14 @@
 The closed-labeling search is checked against a scan of all n! labelings,
 the admissible-path routine against a from-scratch oracle that enumerates
 every simple path and applies the three defining conditions verbatim, the
-branch-and-bound canonical form against a minimum over all n! relabelings,
-automorphism groups against a permutation scan and networkx's matcher, and
-the enumeration by canonical augmentation against the former
-extend-and-dedupe generator, the networkx graph atlas, a scan of all edge
-subsets and the known class counts.  The former set- and dict-based path
-search, pairwise closedness test and LexBFS are kept here as oracles for
-the versions that read the neighbour masks.
+cell-refinement canonical form against a minimum over all n! relabelings
+and the former branch-and-bound search, automorphism groups against a
+permutation scan and networkx's matcher, and the enumeration by canonical
+augmentation against the former extend-and-dedupe generator, the networkx
+graph atlas, a scan of all edge subsets and the known class counts.  The
+former set- and dict-based path search, pairwise closedness test and
+LexBFS are kept here as oracles for the versions that read the neighbour
+masks.
 """
 
 import collections
@@ -328,15 +329,116 @@ def test_canonical_form_on_symmetric_graphs():
             assert canonical_form(g)[0] == canonical_code_by_scan(g), g
     assert canonical_form(Graph(10, []))[0] == 0
     assert canonical_form(complete_graph(10))[0] == (1 << 45) - 1
+    # and regular graphs with large automorphism groups, on which the former
+    # bound-driven search was slowest
     rng = random.Random(5)
-    for g in family(10) + [PETERSEN]:
+    regular = [cycle_graph(n) for n in range(11, 17)] + [PETERSEN, hypercube(4), paley_graph(13)]
+    for g in family(10) + regular:
         code, sigma = canonical_form(g)
         assert adjacency_code(relabel(g, sigma)) == code
         for _ in range(3):
             h = shuffled(g, rng)
             start = time.perf_counter()
-            assert canonical_form(h)[0] == code, g
+            got, tau = canonical_form(h)
             assert time.perf_counter() - start < 1.0, g
+            assert got == code, g
+            assert adjacency_code(relabel(h, tau)) == code, g
+
+
+def hypercube(d):
+    """Q_d: the d-bit words, adjacent when they differ in one bit."""
+    return Graph(1 << d, [(a + 1, b + 1) for a, b in itertools.combinations(range(1 << d), 2)
+                          if (a ^ b).bit_count() == 1])
+
+
+def paley_graph(q):
+    """Paley graph on Z_q, q a prime with q = 1 mod 4: a ~ b when a - b is a
+    nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(a + 1, b + 1) for a, b in itertools.combinations(range(q), 2)
+                     if (b - a) % q in squares])
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, list(g.edges) + [(i + g.n, j + g.n) for i, j in h.edges])
+
+
+# the pentagonal prism C_5 x K_2: 3-regular on 10 vertices, like Petersen
+PRISM = Graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
+              + [(i + 5, i % 5 + 6) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)])
+
+
+def networkx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(1, g.n + 1))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_canonical_form_separates_same_degree_pairs():
+    # regular pairs with equal vertex and edge counts that are not isomorphic
+    rng = random.Random(31)
+    pairs = [(cycle_graph(12), disjoint_union(cycle_graph(6), cycle_graph(6))),
+             (PETERSEN, PRISM)]
+    for g, h in pairs:
+        assert g.degree_sequence() == h.degree_sequence()
+        assert not nx.is_isomorphic(networkx_graph(g), networkx_graph(h))
+        assert canonical_form(shuffled(g, rng))[0] != canonical_form(shuffled(h, rng))[0]
+
+
+def canonical_form_by_bound(g):
+    """The former canonical form: positions filled in order, each partial
+    labeling bounded below (bits between placed positions fixed, a placed
+    row's c open ones in its last c columns, unplaced rows 0), candidates
+    tried in order of that bound, a branch cut once its bound reaches the
+    best code, and one vertex tried per twin class."""
+    n, adj = g.n, g.masks
+    twin = [next(u for u in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(n)]
+    # 2**low[k] is the weight of the last bit of row k (0-indexed positions)
+    low = [(n - 1 - k) * (n - 2 - k) // 2 for k in range(n)]
+    best = [1 << (n * (n - 1) // 2), ()]  # above every code
+
+    def place(order, unused, bound):
+        k = len(order)
+        if k == n:
+            best[:] = bound, order
+            return
+        options = []
+        tried = set()
+        for v in range(n):
+            if unused >> v & 1 and twin[v] not in tried:
+                tried.add(twin[v])
+                b = bound + (((1 << (adj[v] & unused).bit_count()) - 1) << low[k])
+                for i, u in enumerate(order):
+                    if adj[u] >> v & 1:  # row i's highest open one moves to column k
+                        c = (adj[u] & unused).bit_count()
+                        b += (1 << (low[i] + n - 1 - k)) - (1 << (low[i] + c - 1))
+                options.append((b, v))
+        for b, v in sorted(options):
+            if b >= best[0]:
+                break
+            place(order + (v,), unused & ~(1 << v), b)
+
+    place((), (1 << n) - 1, 0)
+    code, order = best
+    return code, tuple(order.index(v) + 1 for v in range(n))
+
+
+def test_canonical_form_against_bound_oracle():
+    # every graph with n = 7, disconnected ones included, under two seeded
+    # relabelings, and every 25th class with n = 8 relabeled: equal codes,
+    # and each sigma gives its code
+    rng = random.Random(37)
+    graphs = [shuffled(rep, rng) for rep in _all_graphs_up_to_iso(7) for _ in range(2)]
+    graphs += [shuffled(rep, rng) for rep in _all_graphs_up_to_iso(8)[::25]]
+    assert len(graphs) == 2 * 1044 + 494
+    for g in graphs:
+        code, sigma = canonical_form(g)
+        want, tau = canonical_form_by_bound(g)
+        assert code == want, g
+        assert adjacency_code(relabel(g, sigma)) == code, g
+        assert adjacency_code(relabel(g, tau)) == want, g
 
 
 def test_complete_graph_code_is_all_ones():
@@ -442,9 +544,7 @@ def test_automorphism_group_orders_against_networkx():
     for n in (6, 7):
         for rep in _all_graphs_up_to_iso(n):
             g = shuffled(rep, rng)
-            h = nx.Graph()
-            h.add_nodes_from(range(1, n + 1))
-            h.add_edges_from(g.edges)
+            h = networkx_graph(g)
             expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
             assert sum(1 for _ in automorphisms(g)) == expected, g
 
