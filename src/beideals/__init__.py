@@ -48,7 +48,6 @@ from .graphs import (
     LimitExceededError,
     admissible_paths,
     adjacency_code,
-    automorphisms,
     canonical_form,
     enumerate_connected_graphs,
     find_closed_labeling,
@@ -87,7 +86,7 @@ __all__ = [
     "pair_power_product", "path_monomial", "plucker_relation",
     "GF", "QQ", "PrimeField", "RationalField",
     "AdmissiblePath", "Graph", "LimitExceededError", "admissible_paths",
-    "adjacency_code", "automorphisms", "canonical_form", "enumerate_connected_graphs",
+    "adjacency_code", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",
     "IdealBasis", "buchberger", "frobenius_power", "normal_form", "not_in_bracket_m",

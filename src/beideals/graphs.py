@@ -8,10 +8,12 @@ Provides the closedness predicates, a LexBFS search for closed labelings,
 admissible-path enumeration, a canonical labeling (minimum upper-triangular
 adjacency bit-string over all vertex permutations, found by refining an
 ordered partition of the unplaced vertices into cells, one placed vertex at
-a time), automorphism groups by a degree-refined backtracking search, and
-isomorphism-free generation of graphs by canonical augmentation: each class
-on n vertices is built once from one class on n - 1 vertices, with no table
-of the codes seen.
+a time), and isomorphism-free generation of graphs by canonical
+augmentation: each class on n vertices is built once from one class on
+n - 1 vertices, with no table of the codes seen.  The canonical search is
+the only isomorphism engine: its leaves that tie the minimum code, with the
+twin swaps it skips, generate the automorphism group, and orbits are
+closures under those generators.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "masks", tuple(masks))
-
-    def adjacency(self) -> dict:
-        """Vertex -> set of neighbours, for callers outside the package."""
-        return {v: {u + 1 for u in _bits(m)} for v, m in enumerate(self.masks, 1)}
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -285,8 +283,15 @@ def adjacency_code(g: Graph) -> int:
 
 
 def canonical_form(g: Graph):
-    """Minimum adjacency code over all n! relabelings, by a search over
-    ordered cells.
+    """(code, sigma): the minimum adjacency code over all n! relabelings,
+    by ``_canonical_search``, and a permutation tuple achieving it (vertex
+    v maps to sigma[v - 1])."""
+    code, order, _, _ = _canonical_search(g.masks)
+    return code, tuple(order.index(v) + 1 for v in range(g.n))
+
+
+def _canonical_search(adj):
+    """The canonical search on neighbour masks: (code, order, ties, twin).
 
     The code is read row by row, so row k is smallest when its ones sit in
     the latest open positions.  Positions 1..n are filled in order, and the
@@ -302,14 +307,16 @@ def canonical_form(g: Graph):
     every placed vertex.  A branch is cut once its code so far exceeds the
     same rows of the best code found.
 
-    Returns (code, sigma) where sigma is a permutation tuple (vertex v
-    maps to sigma[v - 1]) achieving the minimum.
+    ``order`` is the first leaf with the minimum code (0-indexed vertices),
+    ``ties`` the later ones, and ``twin[v]`` the first vertex of v's twin
+    class: the input of ``_generators``.
     """
-    n, adj = g.n, g.masks
+    n = len(adj)
     opened, closed = {}, {}  # the first vertex of each open and closed neighbourhood
     twin = [min(opened.setdefault(a, v), closed.setdefault(a | 1 << v, v))
             for v, a in enumerate(adj)]
     best = [1 << (n * (n - 1) // 2), ()]  # above every code
+    ties = []
 
     def place(order, cells, code):
         k = len(order)
@@ -320,6 +327,9 @@ def canonical_form(g: Graph):
                     code = code << 1 | adj[v] >> u & 1
             if code < best[0]:
                 best[:] = code, order + tuple(rest)
+                ties.clear()
+            elif code == best[0]:
+                ties.append(order + tuple(rest))
             return
         width = n - k - 1
         top, picks, tried = None, [], set()
@@ -348,50 +358,40 @@ def canonical_form(g: Graph):
             place(order + (v,), split, code)
 
     place((), [(1 << n) - 1], 0)
-    code, order = best
-    return code, tuple(order.index(v) + 1 for v in range(n))
+    return best[0], best[1], ties, twin
 
 
-def automorphisms(g: Graph):
-    """Yield every automorphism of g as a permutation tuple (vertex v maps
-    to sigma[v - 1]).
+def _generators(order, ties, twin) -> list:
+    """Generators of the automorphism group, as vertex image lists: the
+    map order[i] -> leaf[i] for each leaf in ties, and the swap of each
+    vertex with the first of its twin class.
 
-    Backtracking over the vertices in breadth-first order, so each vertex
-    after the first of its component has a neighbour already mapped.  A
-    vertex may go to an unused vertex of the same degree whose adjacency to
-    the images so far matches its own adjacency to the vertices mapped so
-    far.  When the last vertex is placed every edge has been checked, so
-    every leaf of the search is an automorphism.
+    They generate the whole group.  The cut drops only codes above the
+    minimum, and cells, rows and the cut are kept by every automorphism
+    that fixes the placed vertices, so an automorphism's image of the first
+    leaf is a leaf with the minimum code, which twin swaps, level by level,
+    take to a leaf that the twin rule did not skip.
     """
-    n, adj = g.n, g.masks
-    deg = [a.bit_count() for a in adj]
-    order = []
-    for root in range(n):
-        if root in order:
-            continue
-        k = len(order)
-        order.append(root)
-        while k < len(order):
-            v = order[k]
-            order.extend(w for w in range(n) if adj[v] >> w & 1 and w not in order)
-            k += 1
-    image = [0] * n
+    gens = [[w for _, w in sorted(zip(order, leaf))] for leaf in ties]
+    for v, t in enumerate(twin):
+        if t != v:
+            image = list(range(len(twin)))
+            image[v], image[t] = t, v
+            gens.append(image)
+    return gens
 
-    def extend(k, used):
-        if k == n:
-            yield tuple(w + 1 for w in image)
-            return
-        v = order[k]
-        want = 0  # the images of v's neighbours among the mapped vertices
-        for u in order[:k]:
-            if adj[v] >> u & 1:
-                want |= 1 << image[u]
-        for w in range(n):
-            if not used >> w & 1 and deg[w] == deg[v] and adj[w] & used == want:
-                image[v] = w
-                yield from extend(k + 1, used | 1 << w)
 
-    yield from extend(0, 0)
+def _orbit(s: int, gens) -> set:
+    """The orbit of the vertex set s (a bitmask) under the generators."""
+    orbit, todo = {s}, [s]
+    while todo:
+        x = todo.pop()
+        for image in gens:
+            y = sum(1 << image[v] for v in _bits(x))
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def _new_neighbourhoods(parent: Graph) -> list:
@@ -402,7 +402,7 @@ def _new_neighbourhoods(parent: Graph) -> list:
     |S|, and a vertex of S gains one.  An automorphism keeps that
     condition, so masks are filtered first and then reduced: masks go in
     increasing order, and each one not yet seen is kept and its orbit
-    marked seen, so the smallest of each orbit stays.
+    under the parent's generators marked seen, so the smallest stays.
     """
     m = parent.n
     deg = [a.bit_count() for a in parent.masks]
@@ -412,14 +412,12 @@ def _new_neighbourhoods(parent: Graph) -> list:
     top = max(deg)
     masks = [s for s in range(1 << m)
              if s.bit_count() >= top and not s & at_degree[s.bit_count()]]
-    identity = tuple(range(1, m + 1))
-    moves = [[1 << (w - 1) for w in sigma]
-             for sigma in automorphisms(parent) if sigma != identity]
+    gens = _generators(*_canonical_search(parent.masks)[1:])
     kept, seen = [], set()
     for s in masks:
         if s not in seen:
             kept.append(s)
-            seen.update(sum(bits[v] for v in range(m) if s >> v & 1) for bits in moves)
+            seen |= _orbit(s, gens)
     return kept
 
 
@@ -436,30 +434,31 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     labeling, taken up to automorphisms of the child.  The key is an
     isomorphism invariant, so that vertex's orbit is determined by the
     class alone.  So n must have the largest key, which most children fail
-    before ``canonical_form`` runs (the degree part already when the
-    neighbourhoods are chosen), and when the canonical vertex u is not n
-    itself, some automorphism must map n to u.  Every class is then
-    accepted exactly once: deleting its canonical vertex gives one parent
-    class, and children of one parent that are isomorphic by a map fixing
-    n come from one orbit.
+    before ``_canonical_search`` runs on their masks (the degree part
+    already when the neighbourhoods are chosen), and a canonical vertex u
+    other than n must lie in the orbit of n under that search's
+    generators.  Every class is then accepted exactly once: deleting its
+    canonical vertex gives one parent class, and children of one parent
+    that are isomorphic by a map fixing n come from one orbit.
     """
     if n == 1:
         return (Graph(1, []),)
     m = n - 1
     found = []
     for parent in _all_graphs_up_to_iso(m):
-        base = list(parent.edges)
         for s in _new_neighbourhoods(parent):
             masks = [a | (s >> v & 1) << m for v, a in enumerate(parent.masks)] + [s]
             deg = [a.bit_count() for a in masks]
             key = [(deg[v], sum(deg[u] for u in _bits(a))) for v, a in enumerate(masks)]
             if key[m] < max(key):
                 continue
-            child = Graph(n, base + [(v + 1, n) for v in _bits(s)])
-            code, sigma = canonical_form(child)
-            u = max((v for v in range(n) if key[v] == key[m]), key=lambda v: sigma[v])
-            if u == m or any(a[m] == u + 1 for a in automorphisms(child)):
-                found.append((code, relabel(child, sigma)))
+            code, order, ties, twin = _canonical_search(masks)
+            u = next(v for v in reversed(order) if key[v] == key[m])
+            if u == m or 1 << u in _orbit(1 << m, _generators(order, ties, twin)):
+                sigma = [order.index(v) + 1 for v in range(n)]
+                edges = [(sigma[v], sigma[w])
+                         for v, a in enumerate(masks) for w in _bits(a) if w > v]
+                found.append((code, Graph(n, edges)))
     found.sort(key=lambda pair: pair[0])
     return tuple(g for _, g in found)
 

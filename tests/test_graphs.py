@@ -4,8 +4,10 @@ The closed-labeling search is checked against a scan of all n! labelings,
 the admissible-path routine against a from-scratch oracle that enumerates
 every simple path and applies the three defining conditions verbatim, the
 cell-refinement canonical form against a minimum over all n! relabelings
-and the former branch-and-bound search, automorphism groups against a
-permutation scan and networkx's matcher, and the enumeration by canonical
+and the former branch-and-bound search, the automorphism groups that the
+search's generators generate against a permutation scan and networkx's
+matcher, the orbit reduction of augmentation against the former
+backtracking automorphism search, and the enumeration by canonical
 augmentation against the former extend-and-dedupe generator, the networkx
 graph atlas, a scan of all edge subsets and the known class counts.  The
 former set- and dict-based path search, pairwise closedness test and
@@ -30,11 +32,8 @@ from beideals import (
     LimitExceededError,
     admissible_paths,
     adjacency_code,
-    automorphisms,
     canonical_form,
-    classify_graph,
     enumerate_connected_graphs,
-    fedder_check,
     find_closed_labeling,
     graph_from_json_dict,
     is_closed_with_labeling,
@@ -42,7 +41,13 @@ from beideals import (
     is_path_graph,
     relabel,
 )
-from beideals.graphs import ENUMERATION_LIMIT, _all_graphs_up_to_iso
+from beideals.graphs import (
+    ENUMERATION_LIMIT,
+    _all_graphs_up_to_iso,
+    _canonical_search,
+    _generators,
+    _new_neighbourhoods,
+)
 
 PETERSEN = Graph(
     10,
@@ -92,7 +97,7 @@ def test_graph_validation():
 
 def test_adjacency_and_degrees():
     g = Graph(4, [(1, 2), (2, 3), (2, 4)])
-    assert g.adjacency()[2] == {1, 3, 4}
+    assert g.masks == (0b0010, 0b1101, 0b0010, 0b0010)
     assert g.degree_sequence() == (1, 1, 1, 3)
     assert g.sorted_edges() == [(1, 2), (2, 3), (2, 4)]
 
@@ -214,7 +219,7 @@ def test_scrambled_band_graph_gets_closed_labeling():
 # admissible paths -------------------------------------------------------
 
 def all_simple_paths(g, i, j):
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     found = []
 
     def walk(path, seen):
@@ -529,14 +534,29 @@ def automorphisms_by_scan(g):
     return {p for p in itertools.permutations(range(1, g.n + 1)) if relabel(g, p) == g}
 
 
+def automorphism_group(g):
+    """The group that the generators from one canonical search of g
+    generate, closed by composition, as permutation tuples."""
+    gens = [tuple(w + 1 for w in image)
+            for image in _generators(*_canonical_search(g.masks)[1:])]
+    identity = tuple(range(1, g.n + 1))
+    group, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for s in gens:
+            q = tuple(s[v - 1] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
 def test_automorphisms_against_permutation_scan():
     rng = random.Random(13)
     for n in range(1, 6):
         for rep in _all_graphs_up_to_iso(n):
             g = shuffled(rep, rng)
-            group = list(automorphisms(g))
-            assert len(set(group)) == len(group)
-            assert set(group) == automorphisms_by_scan(g), g
+            assert automorphism_group(g) == automorphisms_by_scan(g), g
 
 
 def test_automorphism_group_orders_against_networkx():
@@ -546,23 +566,88 @@ def test_automorphism_group_orders_against_networkx():
             g = shuffled(rep, rng)
             h = networkx_graph(g)
             expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
-            assert sum(1 for _ in automorphisms(g)) == expected, g
+            assert len(automorphism_group(g)) == expected, g
 
 
 def test_automorphisms_of_symmetric_graphs_stay_cheap():
-    # every partial map of the edgeless graph and of K_7 extends, so the
-    # search costs about the group order, 7! = 5040; the shuffled cycle and
-    # Petersen graph have one degree throughout and small groups among 10!
-    # permutations, so only the adjacency checks keep those searches small
+    # the edgeless graph and K_7 are one twin class, so twin swaps alone
+    # generate their groups of order 7! = 5040; the shuffled cycle and
+    # Petersen graph have no twins, one degree throughout and small groups
+    # among 10! permutations, so their generators come from tied leaves
     rng = random.Random(19)
     cases = [(Graph(7, []), 5040), (complete_graph(7), 5040),
              (shuffled(cycle_graph(10), rng), 20), (shuffled(PETERSEN, rng), 120)]
     for g, order in cases:
         start = time.perf_counter()
-        group = list(automorphisms(g))
+        group = automorphism_group(g)
         assert time.perf_counter() - start < 1.0, g
-        assert len(group) == len(set(group)) == order, g
+        assert len(group) == order, g
         assert all(relabel(g, p) == g for p in group), g
+
+
+def automorphisms_by_backtracking(g):
+    """The former automorphism engine: every automorphism of g as a
+    permutation tuple, by backtracking over the vertices in breadth-first
+    order.  A vertex may go to an unused vertex of the same degree whose
+    adjacency to the images so far matches its own adjacency to the
+    vertices mapped so far."""
+    n, adj = g.n, g.masks
+    deg = [a.bit_count() for a in adj]
+    order = []
+    for root in range(n):
+        if root in order:
+            continue
+        k = len(order)
+        order.append(root)
+        while k < len(order):
+            v = order[k]
+            order.extend(w for w in range(n) if adj[v] >> w & 1 and w not in order)
+            k += 1
+    image = [0] * n
+
+    def extend(k, used):
+        if k == n:
+            yield tuple(w + 1 for w in image)
+            return
+        v = order[k]
+        want = 0  # the images of v's neighbours among the mapped vertices
+        for u in order[:k]:
+            if adj[v] >> u & 1:
+                want |= 1 << image[u]
+        for w in range(n):
+            if not used >> w & 1 and deg[w] == deg[v] and adj[w] & used == want:
+                image[v] = w
+                yield from extend(k + 1, used | 1 << w)
+
+    yield from extend(0, 0)
+
+
+def neighbourhoods_by_full_group(g):
+    """The former orbit reduction: of the masks S that give a new vertex
+    joined to S the largest degree of the child, the smallest of each
+    orbit, found by mapping S through every element of the whole group."""
+    deg = [a.bit_count() for a in g.masks]
+    group = list(automorphisms_by_backtracking(g))
+    kept, seen = [], set()
+    for s in range(1 << g.n):
+        if s.bit_count() >= max(d + (s >> v & 1) for v, d in enumerate(deg)) and s not in seen:
+            kept.append(s)
+            seen.update(sum(1 << (p[v] - 1) for v in range(g.n) if s >> v & 1) for p in group)
+    return kept
+
+
+def test_new_neighbourhoods_match_full_group_orbits():
+    # every graph with n <= 7, disconnected ones included, as enumerated
+    # and under a seeded relabeling: the closure under the generators of
+    # one search keeps the same masks as the reduction by the whole group
+    rng = random.Random(41)
+    count = 0
+    for n in range(1, 8):
+        for rep in _all_graphs_up_to_iso(n):
+            for g in (rep, shuffled(rep, rng)):
+                assert _new_neighbourhoods(g) == neighbourhoods_by_full_group(g), g
+                count += 1
+    assert count == 2 * 1252
 
 
 def test_enumeration_limit():
@@ -572,17 +657,20 @@ def test_enumeration_limit():
 
 def test_augmentation_rejects_children_before_canonical_form(monkeypatch):
     # children whose new vertex lacks the largest (degree, neighbour degree
-    # sum) key are dropped without a canonical form
+    # sum) key are dropped without a canonical search; every parent gets
+    # one search, for the generators of its automorphism group
     calls = collections.Counter()
 
-    def counting(g):
-        calls[g.n] += 1
-        return canonical_form(g)
+    def counting(masks):
+        calls[len(masks)] += 1
+        return search(masks)
 
-    monkeypatch.setattr(beideals.graphs, "canonical_form", counting)
+    search = beideals.graphs._canonical_search
+    monkeypatch.setattr(beideals.graphs, "_canonical_search", counting)
     _all_graphs_up_to_iso.cache_clear()
     assert len(_all_graphs_up_to_iso(7)) == 1044
-    assert sum(calls[n] for n in range(1, 7)) == 210
+    # 210 children and the 208 parents on at most 6 vertices
+    assert sum(calls[n] for n in range(1, 7)) == 418
     assert calls[7] == 1096
 
 
@@ -662,7 +750,8 @@ def test_mask_graph_layer_matches_set_oracles():
         for rep in _all_graphs_up_to_iso(n):
             for g in (rep, shuffled(rep, rng), shuffled(rep, rng)):
                 adj = adjacency_sets(g)
-                assert g.adjacency() == adj, g
+                assert g.masks == tuple(sum(1 << (u - 1) for u in adj[v])
+                                        for v in range(1, n + 1)), g
                 assert g.degree_sequence() == tuple(sorted(map(len, adj.values()))), g
                 assert is_closed_with_labeling(g) == closed_by_edge_pairs(g), g
                 assert find_closed_labeling(g) == closed_labeling_by_dict_lexbfs(g), g
@@ -671,20 +760,3 @@ def test_mask_graph_layer_matches_set_oracles():
                     assert got == admissible_paths_by_sets(adj, i, j), (g, i, j)
                 count += 1
     assert count == 3 * 1252  # OEIS A000088 summed over n <= 7
-
-
-def test_nothing_in_the_package_builds_the_set_adjacency(monkeypatch):
-    calls = []
-    original = Graph.adjacency
-    monkeypatch.setattr(Graph, "adjacency", lambda g: calls.append(g) or original(g))
-    for n in range(1, 6):
-        for g in enumerate_connected_graphs(n):
-            classify_graph(g)
-    closed = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-    assert is_closed_with_labeling(closed)
-    for i, j in itertools.combinations(range(1, 6), 2):
-        admissible_paths(closed, i, j)
-    assert fedder_check(closed, 2).valid
-    assert calls == []
-    closed.adjacency()  # the counter itself is live
-    assert calls == [closed]
