@@ -55,8 +55,8 @@ when that is proven: dim_Q H~_i <= dim_F2 H~_i for every i (universal
 coefficients) and the two Euler characteristics agree, so when the F_2
 homology is zero or sits in a single degree, the QQ homology equals it.
 Only when the F_2 homology is spread over two or more degrees do the QQ
-ranks come from exact fraction-free elimination over Z.  Odd F_p always
-uses exact elimination mod p.  Nothing is sampled.
+ranks come from the fraction-free ``matrix_rank`` on the same rows with
+signs, which odd F_p always uses.  Nothing is sampled.
 
 Every set operation costs O(2^k) bits, so the work grows with 2^k even when
 the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal

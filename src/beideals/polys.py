@@ -61,10 +61,11 @@ class PolyContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
-        guard = sum(EXP_LIMIT << (FIELD_BITS * k) for k in range(self.nvars))
-        object.__setattr__(self, "guard", guard)
+        # closed forms: a sum of 2n shifted ints takes time quadratic in n
+        ones = ((1 << FIELD_BITS * self.nvars) - 1) // 0xFFFF  # 1 in every field
+        object.__setattr__(self, "guard", EXP_LIMIT * ones)
         # every other field (its low half of each 32 bits), for degree()
-        pairs = sum(0xFFFF << (2 * FIELD_BITS * k) for k in range((self.nvars + 1) // 2))
+        pairs = 0xFFFF * ((1 << 2 * FIELD_BITS * ((self.nvars + 1) // 2)) - 1) // 0xFFFFFFFF
         object.__setattr__(self, "_pairs", pairs)
 
     @property

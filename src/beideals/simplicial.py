@@ -12,16 +12,18 @@ the set of subsets containing v, ``LEVEL[j]`` the set of subsets of size j
 (built apart, for Hochster sums only), and the subsets containing a support
 m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  The faces of a
 restriction are then the full set minus every ``SUP(m)``, a few int
-operations for all subsets at once, and ``by_size`` lists them.  Boundary ranks over F_2 use int bitset rows and
-XOR elimination; over QQ and odd F_p they use signed dict rows and exact
-elimination.
+operations for all subsets at once, and ``by_size`` lists them.
+
+Boundary rows are built once per level, as int bitsets over the faces one
+size down.  F_2 ranks come from XOR elimination on those bitsets; QQ and
+odd F_p ranks from one fraction-free elimination, ``matrix_rank``, on the
+same rows with the boundary's signs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import GF
 from .graphs import LimitExceededError
 
 # Most vertices a subset lattice is built for: its sets of subsets have
@@ -35,7 +37,7 @@ def support_masks(mingens, nvars: int) -> list:
     for m in mingens:
         if len(m) != nvars:
             raise ValueError("generator does not match the variable count")
-        if any(e > 1 for e in m):
+        if any(e not in (0, 1) for e in m):
             raise ValueError(f"generator {m} is not square-free")
         mask = 0
         for v, e in enumerate(m):
@@ -170,72 +172,32 @@ def restriction_faces(masks, sigma: int) -> list:
 
 
 def matrix_rank(rows, fld) -> int:
-    """Rank of a sparse integer matrix over the field.
+    """Rank over QQ or F_p of rows given as dicts column -> nonzero int.
 
-    ``rows`` is a list of dicts column -> nonzero int entry.  Over the
-    rationals the elimination is fraction-free (integer cross
-    multiplication), since the rank of an integer matrix over QQ needs no
-    division; over F_p it is plain modular elimination.
+    Fraction-free: a row r whose leading column c holds a pivot row becomes
+    piv[c] * r - r[c] * piv, a row operation over every field that needs no
+    inverse.  Over F_p entries are reduced mod p; over QQ they stay ints.
     """
-    if fld.char == 0:
-        return _rank_over_z(rows)
-    return _rank_mod_p(rows, fld.char)
-
-
-def _rank_over_z(rows) -> int:
+    p = fld.char
     pivots = {}
-    rank = 0
     for row in rows:
-        r = dict(row)
+        r = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
         while r:
             c = min(r)
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = r
-                rank += 1
                 break
-            a = r.pop(c)
-            pc = piv[c]
-            new = {k: pc * v for k, v in r.items()}
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                s = new.get(k, 0) - a * v
+            a, b = r.pop(c), piv[c]
+            new = {}
+            for k in r.keys() | piv.keys() - {c}:
+                s = b * r.get(k, 0) - a * piv.get(k, 0)
+                if p:
+                    s %= p
                 if s:
                     new[k] = s
-                else:
-                    new.pop(k, None)
             r = new
-    return rank
-
-
-def _rank_mod_p(rows, p: int) -> int:
-    pivots = {}
-    rank = 0
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            v %= p
-            if v:
-                r[c] = v
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(r[c], p - 2, p)
-                pivots[c] = {k: v * inv % p for k, v in r.items()}
-                rank += 1
-                break
-            a = r.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                s = (r.get(k, 0) - a * v) % p
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
-    return rank
+    return len(pivots)
 
 
 def _rank_f2(rows) -> int:
@@ -252,52 +214,47 @@ def _rank_f2(rows) -> int:
     return len(pivots)
 
 
-def _boundary_ranks(levels, fld) -> list:
-    """ranks[k]: rank of the boundary map from k-vertex to (k-1)-vertex faces.
-
-    Each face gives one row over its codimension-one subfaces; subfaces
-    missing from the lower level are zero in the quotient complex and are
-    left out, and rows-per-face leaves the rank unchanged.  Over F_2 rows
-    are bitsets over the lower faces, ranked by XOR elimination; over any
-    other field they are dicts with alternating signs, ranked by exact
-    elimination.
-    """
-    ranks, index = [], {}
+def _boundary_rows(levels) -> list:
+    """rows[k]: the boundary map from k-vertex to (k-1)-vertex faces, one
+    int bitset per face: bit t is set when face t one size down is the face
+    minus a vertex.  Subfaces missing from the lower level are zero in the
+    quotient complex and are left out."""
+    out, index = [], {}
     for faces in levels:
-        if fld.char == 2:
-            rows = []
-            for f in faces:
-                row = 0
-                m = f
-                while m:
-                    v = m & -m
-                    t = index.get(f ^ v)
-                    if t is not None:
-                        row |= 1 << t
-                    m ^= v
-                rows.append(row)
-            ranks.append(_rank_f2(rows))
-        else:
-            rows = []
-            for f in faces:
-                row = {}
-                sign = 1
-                m = f
-                while m:
-                    v = m & -m
-                    t = index.get(f ^ v)
-                    if t is not None:
-                        row[t] = sign
-                    sign = -sign
-                    m ^= v
-                rows.append(row)
-            ranks.append(matrix_rank(rows, fld))
+        rows = []
+        for f in faces:
+            row = 0
+            m = f
+            while m:
+                v = m & -m
+                t = index.get(f ^ v)
+                if t is not None:
+                    row |= 1 << t
+                m ^= v
+            rows.append(row)
+        out.append(rows)
         index = {f: t for t, f in enumerate(faces)}
-    return ranks
+    return out
 
 
-def _homology(levels, fld) -> dict:
-    ranks = _boundary_ranks(levels, fld) + [0]
+def _signed_rows(rows, faces, lower) -> list:
+    """Bitset boundary rows as dicts with the boundary's signs: bit t of
+    face f's row is the subface lower[t] = f - v, with sign -1 to the
+    number of vertices of f below v."""
+    out = []
+    for f, row in zip(faces, rows):
+        signed = {}
+        while row:
+            t = row.bit_length() - 1
+            v = f ^ lower[t]
+            signed[t] = -1 if (f & v - 1).bit_count() & 1 else 1
+            row ^= 1 << t
+        out.append(signed)
+    return out
+
+
+def _homology(levels, ranks) -> dict:
+    ranks = ranks + [0]
     return {k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))}
 
 
@@ -306,21 +263,24 @@ def homology_by_field(levels, fields) -> list:
 
     ``levels`` lists by size the faces that form a basis of a simplicial
     chain complex, possibly modulo a subcomplex whose faces are left out;
-    degree k - 1 comes from ``levels[k]``.  Over QQ the ranks are read off
-    F_2 when the F_2 homology is zero or sits in one degree: by the
-    universal coefficient theorem dim_Q H~_i <= dim_F2 H~_i for every i,
-    and the Euler characteristics agree, so the two are then equal.
-    Otherwise, and in odd characteristic, exact elimination decides.
+    degree k - 1 comes from ``levels[k]``.  The boundary rows are built
+    once.  Over QQ the ranks are read off F_2 when the F_2 homology is zero
+    or sits in one degree: by the universal coefficient theorem
+    dim_Q H~_i <= dim_F2 H~_i for every i, and the Euler characteristics
+    agree, so the two are then equal.  Otherwise, and in odd
+    characteristic, ``matrix_rank`` decides on the signed rows.
     """
-    f2 = None
+    rows = _boundary_rows(levels)
+    f2 = signed = None
     out = []
     for fld in fields:
         if fld.char in (0, 2):
             if f2 is None:
-                f2 = _homology(levels, GF(2))
+                f2 = _homology(levels, list(map(_rank_f2, rows)))
             if fld.char == 2 or sum(1 for h in f2.values() if h) <= 1:
                 out.append(f2)
                 continue
-        out.append(_homology(levels, fld))
+        if signed is None:
+            signed = list(map(_signed_rows, rows, levels, [[]] + levels))
+        out.append(_homology(levels, [matrix_rank(r, fld) for r in signed]))
     return out
-

@@ -471,6 +471,14 @@ def test_fpt_rejects_non_minimal_input():
         fpt_squarefree([(2, 0, 0, 0), (2, 0, 0, 1)], 4)
 
 
+@pytest.mark.parametrize("gen", [(1, -1, 0), (0, 0, -2), (1, 2, 0)])
+def test_exponents_other_than_zero_and_one_are_refused(gen):
+    with pytest.raises(ValueError, match="not square-free"):
+        betti_table([gen], 3, QQ)
+    with pytest.raises(ValueError, match="not square-free"):
+        fpt_squarefree([gen], 3)
+
+
 def test_fpt_report_serialization():
     ctx = PolyContext(3, QQ)
     rep = fpt_squarefree(initial_ideal_generators(path_graph(3)), 6)

@@ -147,6 +147,18 @@ def test_monomial_helpers():
             assert ctx.degree(ka) == mono_degree(ea)
 
 
+def test_context_masks_match_their_per_field_definition():
+    for n in range(1, 12):
+        ctx = PolyContext(n, QQ)
+        fields = [16 * k for k in range(ctx.nvars)]
+        assert ctx.guard == sum(2**15 << s for s in fields)
+        assert ctx._pairs == sum(0xFFFF << s for s in fields[::2])
+    # the closed forms make a large ring cheap to set up
+    big = PolyContext(200_000, QQ)
+    assert big.guard.bit_length() == 16 * 400_000
+    assert big.degree(big.monomial(x1=3, y200000=2)) == 5
+
+
 def test_exponent_overflow_raises():
     ctx = PolyContext(2, GF(2))
     x1, y2 = ctx.x(1), ctx.y(2)

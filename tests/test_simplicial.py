@@ -9,6 +9,8 @@ from beideals import GF, QQ, Graph, PolyContext, initial_ideal_generators
 from beideals.graphs import LimitExceededError, enumerate_connected_graphs
 from beideals.simplicial import (
     MAX_APPEARING,
+    _boundary_rows,
+    _signed_rows,
     by_size,
     face_levels,
     homology_by_field,
@@ -17,7 +19,7 @@ from beideals.simplicial import (
     star_quotient_levels,
     support_masks,
 )
-from scan_engine import scan_facets, scan_restriction_faces
+from scan_engine import boundary_rows, scan_facets, scan_restriction_faces
 
 
 def mask(*bits):
@@ -342,14 +344,23 @@ def naive_rank(rows, ncols, fld):
 
 def test_matrix_rank_against_naive_elimination():
     rng = random.Random(19)
-    for _ in range(40):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    primes = (2, 3, 5, 7)
+    multiples = dict.fromkeys(primes, 0)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = []
         for _ in range(nrows):
-            row = {c: rng.randint(-4, 4) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
-            rows.append({c: v for c, v in row.items() if v})
-        for fld in (QQ, GF(2), GF(5)):
-            assert matrix_rank(rows, fld) == naive_rank(rows, ncols, fld)
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(0, ncols)):
+                # small entries, and nonzero multiples of a prime, which the
+                # elimination over that prime must read as zero
+                v = rng.randint(-4, 4) or rng.choice((-1, 1)) * rng.choice(primes) * rng.randint(1, 3)
+                row[c] = v
+                multiples.update((p, multiples[p] + 1) for p in primes if v % p == 0)
+            rows.append(row)
+        for fld in (QQ, GF(2), GF(3), GF(5), GF(7)):
+            assert matrix_rank(rows, fld) == naive_rank(rows, ncols, fld), (rows, fld)
+    assert min(multiples.values()) > 50, multiples
 
 
 def test_rank_where_fields_disagree():
@@ -357,3 +368,25 @@ def test_rank_where_fields_disagree():
     assert matrix_rank(rows, QQ) == 1
     assert matrix_rank(rows, GF(2)) == 0
     assert matrix_rank(rows, GF(3)) == 1
+
+
+def test_signed_rows_against_scan_engine_rows():
+    # the bitset rows with the boundary's signs are the scan engine's
+    # signed dict rows, on whole complexes and on star quotients
+    rng = random.Random(61)
+    for _ in range(40):
+        facets = [mask(*rng.sample(range(7), rng.randint(1, 5))) for _ in range(rng.randint(1, 5))]
+        supports = [mask(*rng.sample(range(7), rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
+        whole = [sorted(f for f in faces_of(facets) if f.bit_count() == k) for k in range(6)]
+        while not whole[-1]:
+            whole.pop()
+        for levels in (whole, star_quotient_levels(supports, (1 << 7) - 1)):
+            rows = _boundary_rows(levels)
+            lower = {}
+            for k, faces in enumerate(levels):
+                signed = _signed_rows(rows[k], faces, levels[k - 1] if k else [])
+                want = boundary_rows(lower, faces)
+                assert signed == want, (levels, k)
+                for fld in (QQ, GF(3)):
+                    assert matrix_rank(signed, fld) == naive_rank(want, len(lower), fld)
+                lower = {f: t for t, f in enumerate(faces)}
