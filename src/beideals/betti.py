@@ -46,11 +46,17 @@ adds popcount(group AND LEVEL[s]) times its ranks to the entries with
 j = s.
 
 Each root's restriction is visited once, whatever the number of fields.
-``star_quotient_levels`` takes its faces on sigma's own lattice of
-2^|sigma| subsets and leaves out the closed star of the vertex in the
-most faces: the star is a cone, so the faces outside it carry the same
-reduced homology over every coefficient ring.  The F_2 ranks come from
-XOR elimination on int bitset rows.  The QQ ranks are certified from F_2
+``root_ranks`` takes its faces on sigma's own lattice of 2^|sigma|
+subsets and pairs f with f + v, for each vertex v in turn, among the faces
+still unpaired.  That is an acyclic matching whose incidences are +-1, so
+by algebraic Morse theory the unpaired faces span a complex over Z with
+the same homology.  When they all have one size j, its differentials are
+zero, and the ranks are their count in degree j - 1 over every field.
+Under classify's labelings that decides 3,734 of the 3,770 roots with
+n <= 6.  The rest go to elimination: ``star_quotient_levels`` leaves out
+the closed star of the vertex in the most faces, a cone, and
+``homology_by_field`` ranks what remains.  The F_2 ranks come from XOR
+elimination on int bitset rows.  The QQ ranks are certified from F_2
 when that is proven: dim_Q H~_i <= dim_F2 H~_i for every i (universal
 coefficients) and the two Euler characteristics agree, so when the F_2
 homology is zero or sits in a single degree, the QQ homology equals it.
@@ -71,8 +77,7 @@ from dataclasses import dataclass
 from .graphs import LimitExceededError
 from .simplicial import (
     MAX_APPEARING,
-    homology_by_field,
-    star_quotient_levels,
+    root_ranks,
     subset_lattice,
     subset_levels,
     support_masks,
@@ -113,10 +118,11 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
     """Graded Betti numbers of S/I over several coefficient fields at once.
 
     Tables can differ between characteristics, which is why the field list
-    is explicit; the faces of each root restriction are built once and only
-    the ranks are recomputed.  The work is bitset algebra on the 2^k
-    subsets of the k appearing variables, plus the homology of the unions
-    with no dominated vertex; raises ``LimitExceededError`` when k exceeds
+    is explicit; the faces of each root restriction are built once, and
+    only roots that need elimination have their ranks computed per field.
+    The work is bitset algebra on the 2^k subsets of the k appearing
+    variables, plus the homology of the unions with no dominated vertex;
+    raises ``LimitExceededError`` when k exceeds
     ``MAX_APPEARING``.  The Krull dimension is the largest face, the top
     level that meets the complement of every ``SUP(m)``, plus the absent
     variables, which are cone points.
@@ -137,8 +143,7 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
         low = roots & -roots
         roots ^= low
         sigma = low.bit_length() - 1
-        ranks = homology_by_field(star_quotient_levels(local, sigma), fields)
-        key = tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+        key = root_ranks(local, sigma, fields)
         if any(key):
             groups[key] = groups.get(key, 0) | low
     tables: list = [dict() for _ in fields]

@@ -14,10 +14,15 @@ m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  The faces of a
 restriction are then the full set minus every ``SUP(m)``, a few int
 operations for all subsets at once, and ``by_size`` lists them.
 
-Boundary rows are built once per level, as int bitsets over the faces one
-size down.  F_2 ranks come from XOR elimination on those bitsets; QQ and
-odd F_p ranks from one fraction-free elimination, ``matrix_rank``, on the
-same rows with the boundary's signs.
+``root_ranks`` gives the homology of a restriction from an acyclic
+matching on that set: faces f and f + v are paired for one vertex v after
+another, and when the unmatched faces all have one size, their count is
+the only nonzero rank, over every field.  Otherwise it falls back to
+elimination on the star quotient.  There boundary rows are built once per
+level, as int bitsets over the faces one size down.  F_2 ranks come from
+XOR elimination on those bitsets; QQ and odd F_p ranks from one
+fraction-free elimination, ``matrix_rank``, on the same rows with the
+boundary's signs.
 """
 
 from __future__ import annotations
@@ -138,6 +143,36 @@ def star_quotient_levels(masks, sigma: int) -> list:
         v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
         faces &= ~(has[v] | faces >> (1 << v))
     return by_size(faces)
+
+
+def root_ranks(masks, sigma: int, fields) -> tuple:
+    """The nonzero reduced homology ranks of the restriction to ``sigma``,
+    one tuple of (degree, rank) per field, read off an acyclic matching
+    where it can be.
+
+    For each vertex v of sigma in turn, the faces f and f + v that are both
+    still unmatched are paired off: on the remaining set R that is
+    ``low = R & ~HAS[v] & (R >> 2^v)``, then ``R &= ~(low | low << 2^v)``.
+    Element matchings iterated this way form an acyclic matching (Jonsson,
+    Simplicial Complexes of Graphs, LNM 1928, section 4.1), and each matched
+    incidence is +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
+    2006) the reduced chain complex over Z is homotopy equivalent to a free
+    complex on the critical cells R.  When R is empty the homology is zero;
+    when every cell of R has size j, every Morse differential is zero, and
+    the homology is free of rank |R| in degree j - 1 over every field.
+    Otherwise the Morse differentials are not the boundary restricted to R,
+    so the ranks come from ``homology_by_field`` on the star quotient.
+    """
+    faces, has = _restriction(masks, sigma)
+    for v, h in enumerate(has):
+        low = faces & ~h & faces >> (1 << v)
+        faces &= ~(low | low << (1 << v))
+    levels = by_size(faces)
+    critical = tuple((size - 1, len(cells)) for size, cells in enumerate(levels) if cells)
+    if len(critical) > 1:
+        ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+        return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+    return (critical,) * len(fields)
 
 
 def _restriction(masks, sigma: int) -> tuple:

@@ -11,7 +11,8 @@ import itertools
 
 
 def dense_rank(matrix, fld):
-    """Rank of a list-of-lists matrix over fld by full row reduction."""
+    """Rank of a list-of-lists matrix over fld by Gaussian elimination: each
+    pivot row is scaled to 1 and cleared from the rows below it."""
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         return 0
@@ -28,8 +29,8 @@ def dense_rank(matrix, fld):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = fld.inv(rows[rank][col])
         rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != fld.zero:
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != fld.zero:
                 c = rows[r][col]
                 rows[r] = [fld.sub(v, fld.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
         rank += 1

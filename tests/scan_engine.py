@@ -3,11 +3,13 @@ by extension and ranked over F_2 by XOR; kept as a test oracle.
 
 It scans all 2^|sigma| subsets of each restriction, assembles signed dict
 boundary rows for the whole complex, and ranks them exactly over every
-requested field through ``matrix_rank``.  The Stanley-Reisner facets come
-from a sweep over all 2^nvars subsets.
+requested field by the dense row reduction ``dense_rank`` of the
+brute-force oracle, not by the library's ``matrix_rank``.  The
+Stanley-Reisner facets come from a sweep over all 2^nvars subsets.
 """
 
-from beideals.simplicial import matrix_rank, support_masks
+from beideals.simplicial import support_masks
+from hochster_oracle import dense_rank
 
 
 def boundary_rows(lower_index, faces):
@@ -52,7 +54,13 @@ def scan_homology_ranks(faces, fld):
     ranks = {}
     for d in range(0, top + 1):
         index = {f: t for t, f in enumerate(by_dim.get(d - 1, []))}
-        ranks[d] = matrix_rank(boundary_rows(index, by_dim.get(d, [])), fld)
+        dense = []
+        for row in boundary_rows(index, by_dim.get(d, [])):
+            entries = [fld.zero] * len(index)
+            for t, sign in row.items():
+                entries[t] = fld.coerce(sign)
+            dense.append(entries)
+        ranks[d] = dense_rank(dense, fld)
     return {
         d: len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         for d in range(-1, top + 1)

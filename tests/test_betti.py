@@ -30,7 +30,13 @@ from beideals.graphs import (
     is_closed_with_labeling,
     relabel,
 )
-from beideals.simplicial import homology_by_field, star_quotient_levels, support_masks
+from beideals.simplicial import (
+    by_size,
+    homology_by_field,
+    root_ranks,
+    star_quotient_levels,
+    support_masks,
+)
 from hochster_oracle import betti_by_restriction
 from scan_engine import scan_betti_table, scan_facets
 
@@ -58,15 +64,16 @@ def test_zero_ideal_table():
 
 
 def test_path_initial_ideals_follow_the_koszul_pattern():
-    # the generators x_i*y_{i+1} have pairwise disjoint supports
-    for n in (3, 4, 5):
-        t = betti_table(initial_ideal_generators(path_graph(n)), 2 * n, QQ)
-        expected = {(0, 0): 1}
-        for i in range(1, n):
-            expected[(i, 2 * i)] = math.comb(n - 1, i)
-        assert t.as_dict() == expected
-        assert regularity(t) == n - 1
-        assert homological_summary(t) == {"regularity": n - 1, "pd": n - 1, "type": 1}
+    # under the monotone labeling the generators x_i*y_{i+1} have pairwise
+    # disjoint supports, so S/in(J_{P_n}) is resolved by a Koszul complex;
+    # P_11 has k = 20 appearing variables, the cap
+    for n in range(1, 12):
+        tables = betti_tables(initial_ideal_generators(path_graph(n)), 2 * n, [QQ, GF(2)])
+        expected = {(i, 2 * i): math.comb(n - 1, i) for i in range(n)}
+        for t in tables:
+            assert t.as_dict() == expected, n
+            assert regularity(t) == n - 1
+            assert homological_summary(t) == {"regularity": n - 1, "pd": n - 1, "type": 1}
 
 
 def test_triangle_table():
@@ -152,18 +159,22 @@ def test_random_ideals_with_singletons_and_repeats_match_scan_engine():
         assert betti_tables_per_union(gens, nvars, fields) == want, gens
 
 
-def test_projective_plane_needs_the_exact_fallback():
-    # Stanley-Reisner ideal of the six-vertex real projective plane: its
-    # minimal non-faces are the ten triangles that are not among its faces
+def projective_plane_generators():
+    """Stanley-Reisner ideal of the six-vertex real projective plane: its
+    minimal non-faces are the ten triangles that are not among its faces."""
     faces = {
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
     }
-    gens = [
+    return [
         tuple(int(v in t) for v in range(6))
         for t in itertools.combinations(range(6), 3)
         if t not in faces
     ]
+
+
+def test_projective_plane_needs_the_exact_fallback():
+    gens = projective_plane_generators()
     tq, t2 = betti_tables(gens, 6, [QQ, GF(2)])
     assert tq.as_dict() != t2.as_dict()
     assert tq.as_dict() == betti_by_restriction(gens, 6, QQ)
@@ -349,23 +360,102 @@ def test_dominated_vertices_match_per_union_loop_at_n8():
         assert [t.as_dict() for t in tables] == want, g.edges
 
 
+def counted(monkeypatch, name, real):
+    """Replace the function ``real``, bound at ``name``, by one that records
+    each call's arguments in the returned list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(name, counting)
+    return calls
+
+
 def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
-    computed = []
-    real = homology_by_field
-
-    def counting(levels, fields):
-        computed.append(len(levels))
-        return real(levels, fields)
-
-    monkeypatch.setattr("beideals.betti.homology_by_field", counting)
+    roots = counted(monkeypatch, "beideals.betti.root_ranks", root_ranks)
+    eliminated = counted(
+        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+    )
     unions = 0
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             gens = initial_ideal_generators(classify_labeled(g))
             betti_tables(gens, 2 * n, [QQ, GF(2)])
             unions += len(unions_of_supports(support_masks(gens, 2 * n)))
-    # the 142 classes of classify --n-max 6: one union in 20 has no dominated vertex
-    assert (len(computed), unions) == (3770, 76148)
+    # the 142 classes of classify --n-max 6: one union in 20 has no dominated
+    # vertex, and the matching in vertex order 0..s-1 leaves 36 of those
+    # roots with critical cells of two or more sizes
+    assert (len(roots), len(eliminated), unions) == (3770, 36, 76148)
+
+
+# root homology by iterated element matchings ------------------------------
+
+def rank_key(masks, sigma, fields):
+    """The nonzero ranks of the restriction to ``sigma`` per field, from the
+    star quotient and elimination."""
+    ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+    return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+
+
+def roots_of(mingens, nvars):
+    """The renumbered supports and the unions with no dominated vertex."""
+    local, unions, dominated = lattice_domination(support_masks(mingens, nvars))
+    for d in dominated:
+        unions &= ~d
+    return local, [f for level in by_size(unions) for f in level]
+
+
+def seeded_relabeling(g, rng):
+    sigma = list(range(1, g.n + 1))
+    rng.shuffle(sigma)
+    return relabel(g, sigma)
+
+
+def test_root_ranks_match_star_quotient_homology():
+    fields = [QQ, GF(2), GF(3)]
+    rng = random.Random(24)
+    roots = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for h in (classify_labeled(g), seeded_relabeling(g, rng)):
+                local, sigmas = roots_of(initial_ideal_generators(h), 2 * n)
+                for sigma in sigmas:
+                    want = rank_key(local, sigma, fields)
+                    assert root_ranks(local, sigma, fields) == want, (h.edges, sigma)
+                roots += len(sigmas)
+    # 3,771 roots under classify's labelings (K_1's empty union included),
+    # 3,635 under the seeded ones
+    assert roots == 3771 + 3635
+
+
+def test_root_ranks_match_star_quotient_homology_at_n7():
+    # every root of every n = 7 class under classify's labeling; the
+    # elimination runs once per restriction_pattern, as in the per-union loop
+    fields = [QQ, GF(2), GF(3)]
+    memo = {}
+    roots = 0
+    for g in enumerate_connected_graphs(7):
+        local, sigmas = roots_of(initial_ideal_generators(classify_labeled(g)), 14)
+        for sigma in sigmas:
+            pattern = restriction_pattern(local, sigma)
+            want = memo.get(pattern)
+            if want is None:
+                want = memo[pattern] = rank_key(pattern[1:], (1 << pattern[0]) - 1, fields)
+            assert root_ranks(local, sigma, fields) == want, (g.edges, sigma)
+        roots += len(sigmas)
+    assert roots == 52263
+
+
+def test_projective_plane_root_takes_the_elimination(monkeypatch):
+    # the whole six-vertex RP^2: its torsion shows only through elimination
+    masks = support_masks(projective_plane_generators(), 6)
+    eliminated = counted(
+        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+    )
+    assert root_ranks(masks, (1 << 6) - 1, [QQ, GF(2), GF(3)]) == ((), ((1, 1), (2, 1)), ())
+    assert len(eliminated) == 1
 
 
 def test_pendant_dominates_on_a_bipartite_edge_ideal():
