@@ -36,14 +36,15 @@ through u without a witness for v.  Under classify's labelings with n <= 6 only
 3,770 of the 76,148 unions have no dominated vertex.
 
 Only those roots go through homology.  Roots with the same nonzero ranks
-form a group, and each group spreads along domination, one vertex at a
-time: sigma + v joins when v is dominated in it, and then has the ranks
-of sigma.  Every union with nonzero homology is reached: for a dominated
-v, sigma - v has the same nonzero ranks, so it is a union too (any other
-subset is a cone) and, by induction on size, in the group already.  No
-union joins two groups, since its ranks decide its group.  A group then
-adds popcount(group AND LEVEL[s]) times its ranks to the entries with
-j = s.
+form a group, and each group spreads along domination: sigma + v joins
+when v is dominated in it, and then has the ranks of sigma.  The group
+grows in place, one shift per vertex in a sweep over the vertices, until
+a sweep adds nothing.  Every union with nonzero homology is reached: for
+a dominated v, sigma - v has the same nonzero ranks, so it is a union too
+(any other subset is a cone) and, by induction on size, in the group
+already.  No union joins two groups, since its ranks decide its group.  A
+group then adds popcount(group AND LEVEL[s]) times its ranks to the
+entries with j = s.
 
 Each root's restriction is visited once, whatever the number of fields.
 ``root_ranks`` takes its faces on sigma's own lattice of 2^|sigma|
@@ -127,12 +128,17 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
     level that meets the complement of every ``SUP(m)``, plus the absent
     variables, which are cone points.
     """
-    local, k = _renumbered(support_masks(mingens, nvars))
+    return _betti_tables_of_masks(support_masks(mingens, nvars), nvars, fields)
+
+
+def _betti_tables_of_masks(masks, nvars: int, fields) -> BettiTables:
+    """``betti_tables`` of the generators with supports ``masks``, bit v
+    for variable v, for callers that hold the masks already."""
+    local, k = _renumbered(masks)
     if k > MAX_APPEARING:
         raise LimitExceededError(
             f"Betti tables are capped at {MAX_APPEARING} appearing variables, got {k}"
         )
-    _, has = subset_lattice(k)
     level = subset_levels(k)
     unions, faces, dominated = _subset_sets(local, k)
     roots = unions
@@ -146,9 +152,10 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
         key = root_ranks(local, sigma, fields)
         if any(key):
             groups[key] = groups.get(key, 0) | low
+    steps = [(1 << v, d) for v, d in enumerate(dominated) if d]
     tables: list = [dict() for _ in fields]
     for key, group in groups.items():
-        group = _spread(group, dominated, has)
+        group = _spread(group, steps)
         for size, subsets in enumerate(level):
             count = (group & subsets).bit_count()
             if count:
@@ -169,9 +176,15 @@ def _renumbered(masks) -> tuple:
     appearing = 0
     for m in masks:
         appearing |= m
-    kept = [v for v in range(appearing.bit_length()) if appearing >> v & 1]
-    local = {sum(1 << i for i, v in enumerate(kept) if m >> v & 1) for m in masks}
-    return sorted(local), len(kept)
+    # the absent variables below the top one, highest first: removing one
+    # moves the bits above it down by one and leaves the lower gaps in place
+    gaps = [-1 << v for v in reversed(range(appearing.bit_length())) if not appearing >> v & 1]
+    local = set()
+    for m in masks:
+        for above in gaps:
+            m = m & ~above | m >> 1 & above
+        local.add(m)
+    return sorted(local), appearing.bit_count()
 
 
 def _subset_sets(local, k: int) -> tuple:
@@ -205,32 +218,44 @@ def _subset_sets(local, k: int) -> tuple:
     apexes = [0] * k  # v -> the subsets with an apex u for v
     for u, pairs in enumerate(through):
         covered = candidates = 0
+        everywhere = -1  # the vertices every support through u witnesses
         for s, w in pairs:
             covered |= s
             candidates |= w
+            everywhere &= w
         unions &= ~has[u] | covered
         faces &= ~covered
-        for v in range(k):
-            if candidates >> v & 1:
-                blocked = 0
-                for s, w in pairs:
-                    if not w >> v & 1:
-                        blocked |= s
-                apexes[v] |= has[u] & ~blocked
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            v = bit.bit_length() - 1
+            if everywhere & bit:
+                apexes[v] |= has[u]
+                continue
+            blocked = 0
+            for s, w in pairs:
+                if not w & bit:
+                    blocked |= s
+            apexes[v] |= has[u] & ~blocked
     return unions, faces, [unions & has[v] & a for v, a in enumerate(apexes)]
 
 
-def _spread(group: int, dominated, has) -> int:
-    """``group`` closed under adding a vertex v in which v is dominated."""
-    frontier = group
-    while frontier:
-        grown = 0
-        for v, d in enumerate(dominated):
-            if d:
-                grown |= (frontier & ~has[v]) << (1 << v) & d
-        frontier = grown & ~group
-        group |= frontier
-    return group
+def _spread(group: int, steps) -> int:
+    """``group`` closed under adding a vertex v in which v is dominated.
+
+    ``steps`` holds (2^v, the unions in which v is dominated) for each v
+    with any.  Each sweep adds sigma + v for every sigma already in the
+    group, newly added ones included, and the closure is reached when a
+    whole sweep adds nothing.  The shift needs no mask for sigma without
+    v: for sigma through v, sigma + 2^v lacks v, so it is never a union in
+    which v is dominated.
+    """
+    while True:
+        before = group
+        for shift, d in steps:
+            group |= group << shift & d
+        if group == before:
+            return group
 
 
 def betti_table(mingens, nvars: int, fld) -> BettiTable:
@@ -295,10 +320,15 @@ class FptReport:
 def fpt_squarefree(mingens, nvars: int) -> FptReport:
     """F-pure threshold of a square-free monomial ideal from its minimal
     generators; the input must be minimal (no generator divides another)."""
-    masks = support_masks(mingens, nvars)
+    return _fpt_of_masks(support_masks(mingens, nvars), nvars)
+
+
+def _fpt_of_masks(masks, nvars: int) -> FptReport:
+    """``fpt_squarefree`` of the generators with supports ``masks``, bit v
+    for variable v; the minimality check runs on the masks."""
     for a, m in enumerate(masks):
-        for b, m2 in enumerate(masks):
-            if a != b and m & m2 == m:
+        for m2 in masks[a + 1:]:
+            if m & m2 in (m, m2):
                 raise ValueError(
                     "generators are not minimal: one divides another"
                 )

@@ -33,8 +33,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .betti import betti_tables, fpt_squarefree, homological_summary, regularity
-from .edgeideals import initial_ideal_generators
+from .betti import _betti_tables_of_masks, _fpt_of_masks, homological_summary, regularity
+from .edgeideals import _initial_masks
 from .fields import GF, QQ
 from .graphs import (
     ENUMERATION_LIMIT,
@@ -131,11 +131,11 @@ def classify_graph(g: Graph) -> ClassificationRow:
     n = g.n
     sigma = find_closed_labeling(g)
     h = relabel(g, sigma) if sigma else g
-    mingens = initial_ideal_generators(h)
+    masks = _initial_masks(h)
     nvars = 2 * n
 
-    fpt_report = fpt_squarefree(mingens, nvars)
-    tables = betti_tables(mingens, nvars, [QQ, GF(2)])
+    fpt_report = _fpt_of_masks(masks, nvars)
+    tables = _betti_tables_of_masks(masks, nvars, [QQ, GF(2)])
     table_q, table_f2 = tables
     dim = tables.krull_dim
     summary = homological_summary(table_q)

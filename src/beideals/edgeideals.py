@@ -98,19 +98,27 @@ def initial_ideal_generators(g: Graph) -> list:
     square-free, and minimality (no generator divides another) is a theorem
     of Herzog, Hibi, Hreinsdottir, Kahle & Rauh (2010).
     """
-    n = g.n
-    masks = g.masks
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for path in _admissible_paths(masks, i, j):
-                exps = [0] * (2 * n)
-                exps[i - 1] = exps[n + j - 1] = 1
-                for k in path.interior:
-                    exps[k - 1 if k > j else n + k - 1] = 1
-                gens.append(tuple(exps))
+    nvars = 2 * g.n
+    gens = [tuple(m >> v & 1 for v in range(nvars)) for m in _initial_masks(g)]
     gens.sort(key=lambda m: (sum(m), m))
     return gens
+
+
+def _initial_masks(g: Graph) -> list:
+    """The supports of ``initial_ideal_generators(g)`` as bitmasks, bit v
+    for variable v (x_k is k - 1, y_k is n + k - 1), in path-search order."""
+    n = g.n
+    masks = g.masks
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ends = 1 << i - 1 | 1 << n + j - 1  # x_i * y_j
+            for path in _admissible_paths(masks, i, j):
+                m = ends
+                for k in path.interior:
+                    m |= 1 << (k - 1 if k > j else n + k - 1)
+                out.append(m)
+    return out
 
 
 def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polynomial:

@@ -133,19 +133,24 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis (its polynomials in order).
 
     An ``IdealBasis`` lends its kept division table, so repeated divisions
-    by one basis set up its divisors once.
+    by one basis set up its divisors once; it has no zero polynomial and
+    one ring, so only that ring is checked against f's.
     """
-    kept = isinstance(basis, IdealBasis)
-    divisors = basis.polys if kept else list(basis)
-    if not divisors:
-        return f
     ctx = f.ctx
-    for b in divisors:
-        if b.ctx != ctx:
+    if isinstance(basis, IdealBasis):
+        if basis.polys and basis.ctx != ctx:
             raise ValueError("divisor from a different ring")
-        if b.is_zero():
-            raise ValueError("zero divisor polynomial")
-    table = basis.division_table if kept else _division_table(divisors)
+        table = basis.division_table
+    else:
+        divisors = list(basis)
+        for b in divisors:
+            if b.ctx != ctx:
+                raise ValueError("divisor from a different ring")
+            if b.is_zero():
+                raise ValueError("zero divisor polynomial")
+        table = _division_table(divisors)
+    if not table:
+        return f
     return Polynomial._from_sums(ctx, _divide(ctx, dict(f.terms), table))
 
 

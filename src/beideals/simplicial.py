@@ -162,11 +162,16 @@ def root_ranks(masks, sigma: int, fields) -> tuple:
     the homology is free of rank |R| in degree j - 1 over every field.
     Otherwise the Morse differentials are not the boundary restricted to R,
     so the ranks come from ``homology_by_field`` on the star quotient.
+    R with at most one cell, nearly every root's, is read off its top bit
+    without listing it.
     """
     faces, has = _restriction(masks, sigma)
     for v, h in enumerate(has):
         low = faces & ~h & faces >> (1 << v)
         faces &= ~(low | low << (1 << v))
+    if faces & (faces - 1) == 0:
+        cell = faces.bit_length() - 1
+        return (((cell.bit_count() - 1, 1),) if faces else (),) * len(fields)
     levels = by_size(faces)
     critical = tuple((size - 1, len(cells)) for size, cells in enumerate(levels) if cells)
     if len(critical) > 1:

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import beideals
 from beideals import (
     CSV_COLUMNS,
     QQ,
@@ -134,6 +135,20 @@ def test_dimension_column(rows5):
 def test_classify_graph_matches_range_row(rows5):
     row = classify_graph(Graph(3, [(1, 2), (2, 3)]))
     assert row == next(r for r in rows5 if r.graph_id == "3-3")
+
+
+def test_classify_graph_reads_the_path_search_masks(monkeypatch, rows5):
+    # the rows come from the path search's support masks, with no exponent
+    # tuples built and no masks read back off them
+    def refuse(*args):
+        raise AssertionError("classify_graph went through exponent tuples")
+
+    for module in (beideals.simplicial, beideals.betti, beideals.edgeideals, beideals.classify):
+        for name in ("support_masks", "initial_ideal_generators"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    graphs = [g for n in range(2, 6) for g in beideals.enumerate_connected_graphs(n)]
+    assert sorted(map(classify_graph, graphs), key=lambda r: (r.n, r.graph_id)) == rows5
 
 
 def test_csv_shape(rows5):

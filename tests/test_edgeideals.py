@@ -1,6 +1,7 @@
 """Edge binomials, admissible-path bases, Frobenius certificates, weights."""
 
 import itertools
+import random
 
 import pytest
 
@@ -31,6 +32,9 @@ from beideals import (
     plucker_relation,
     relabel,
 )
+from beideals.edgeideals import _initial_masks
+from beideals.graphs import _all_graphs_up_to_iso
+from beideals.simplicial import support_masks
 from test_groebner import is_groebner_basis
 from tuple_polys import mono_divides, mono_is_squarefree
 
@@ -146,6 +150,40 @@ def test_initial_generators_minimal_and_squarefree():
             heads = {e.poly.ctx.exponents(e.poly.lm()) for e in admissible_groebner_basis(g)}
             minimal = {m for m in heads if not any(h != m and mono_divides(h, m) for h in heads)}
             assert set(gens) == minimal
+
+
+def initial_generators_per_path(g):
+    """The initial ideal's generators from the public per-pair path search
+    as exponent tuples: x_i * y_j, times x_k for each interior k > j and
+    y_k for each interior k < i, sorted by (degree, exponents)."""
+    n = g.n
+    gens = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for path in admissible_paths(g, i, j):
+            exps = [0] * (2 * n)
+            exps[i - 1] = exps[n + j - 1] = 1
+            for k in path.interior:
+                exps[k - 1 if k > j else n + k - 1] = 1
+            gens.append(tuple(exps))
+    gens.sort(key=lambda m: (sum(m), m))
+    return gens
+
+
+def test_initial_masks_match_per_path_generators():
+    # every graph with n <= 7, disconnected ones included, as enumerated and
+    # under one seeded relabeling
+    rng = random.Random(25)
+    graphs = 0
+    for n in range(1, 8):
+        for g in _all_graphs_up_to_iso(n):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            for h in (g, relabel(g, order)):
+                want = initial_generators_per_path(h)
+                assert initial_ideal_generators(h) == want, h.edges
+                assert sorted(_initial_masks(h)) == sorted(support_masks(want, 2 * n)), h.edges
+            graphs += 1
+    assert graphs == 1252
 
 
 # Pluecker relation --------------------------------------------------------

@@ -128,6 +128,23 @@ def test_normal_form_shares_the_basis_division_table():
         normal_form(PolyContext(4, GF(5)).x(1), gb)
 
 
+def test_normal_form_refuses_divisors_from_another_ring():
+    # a kept basis is checked by its one ring; listed divisors one by one
+    ctx = PolyContext(3, QQ)
+    for other in (PolyContext(3, GF(3)), PolyContext(2, QQ)):
+        basis = IdealBasis([other.x(1) + other.y(2), other.x(2)])
+        with pytest.raises(ValueError, match="different ring"):
+            normal_form(ctx.x(1), basis)
+        with pytest.raises(ValueError, match="different ring"):
+            normal_form(ctx.x(1), [ctx.x(2), *basis.polys])
+    with pytest.raises(ValueError, match="mixed rings"):
+        IdealBasis([ctx.x(1), PolyContext(3, GF(3)).x(1)])
+    with pytest.raises(ValueError, match="zero divisor"):
+        normal_form(ctx.x(1), [ctx.x(2), ctx.x(1) - ctx.x(1)])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        IdealBasis([ctx.x(1) - ctx.x(1)])
+
+
 def test_s_polynomial_cancels_leads():
     g = edge_basis(DIAMOND)
     polys = list(g.polys)
