@@ -43,7 +43,6 @@ from .edgeideals import (
 )
 from .fields import GF, QQ, PrimeField, RationalField
 from .graphs import (
-    AdmissiblePath,
     Graph,
     LimitExceededError,
     admissible_paths,
@@ -85,7 +84,7 @@ __all__ = [
     "fedder_check", "fedder_witness", "find_weight_vector", "initial_ideal_generators",
     "pair_power_product", "path_monomial", "plucker_relation",
     "GF", "QQ", "PrimeField", "RationalField",
-    "AdmissiblePath", "Graph", "LimitExceededError", "admissible_paths",
+    "Graph", "LimitExceededError", "admissible_paths",
     "adjacency_code", "canonical_form", "enumerate_connected_graphs",
     "find_closed_labeling", "graph_from_json_dict", "is_closed_with_labeling",
     "is_connected", "is_path_graph", "relabel",

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -178,6 +177,8 @@ def classify_range(config: RunConfig) -> list:
         graphs.extend(enumerate_connected_graphs(n))
     workers = min(config.jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
+        import multiprocessing  # here, not at the top: it is slow to import
+
         # densest classes first, one per task, so that no worker is left
         # with a long tail; the sort is stable, so ties keep (n, code) order
         graphs.sort(key=lambda g: (-len(g.edges), g.n))

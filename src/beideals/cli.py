@@ -25,7 +25,6 @@ import sys
 from .betti import betti_table, fpt_squarefree, homological_summary, render_betti
 from .classify import RunConfig, classify_range, rows_to_csv, rows_to_json, violations
 from .edgeideals import (
-    NotClosedError,
     admissible_groebner_basis,
     edge_ideal_generators,
     fedder_check,
@@ -75,6 +74,13 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json_dict(data)
 
 
+def _write(path: pathlib.Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
+
+
 def _emit(payload, as_json: bool, text_lines):
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -93,15 +99,15 @@ def cmd_gb(args) -> int:
         "count": len(elems),
         "elements": [
             {
-                "pair": [e.path.i, e.path.j],
-                "path": list(e.path.vertices),
+                "pair": [e.path[0], e.path[-1]],
+                "path": list(e.path),
                 "poly": format_poly(e.poly),
             }
             for e in elems
         ],
     }
     lines = [
-        f"{format_poly(e.poly)}    [path {'-'.join(map(str, e.path.vertices))}]"
+        f"{format_poly(e.poly)}    [path {'-'.join(map(str, e.path))}]"
         for e in elems
     ]
     if args.verify:
@@ -166,7 +172,7 @@ def cmd_fedder(args) -> int:
     text.append(f"certificate valid: {'yes' if cert.valid else 'no'}")
     out = json.dumps(payload, indent=2)
     if args.out:
-        pathlib.Path(args.out).write_text(out + "\n")
+        _write(pathlib.Path(args.out), out + "\n")
     if args.json:
         print(out)
     else:
@@ -226,16 +232,19 @@ def cmd_plucker(args) -> int:
 
 def cmd_classify(args) -> int:
     config = RunConfig(n_min=args.n_min, n_max=args.n_max, jobs=args.jobs)
-    rows = classify_range(config)
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(rows_to_csv(rows))
-    (out_dir / "report.json").write_text(rows_to_json(rows, config))
+    try:  # before the run, so that a bad --out fails fast
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"cannot write {out_dir}: {e}") from None
+    rows = classify_range(config)
+    _write(out_dir / "report.csv", rows_to_csv(rows))
+    _write(out_dir / "report.json", rows_to_json(rows, config))
     bad = violations(rows)
     print(f"classified {len(rows)} graphs (n = {config.n_min}..{config.n_max}) -> {out_dir}")
     if bad:
         repro = out_dir / "violations.json"
-        repro.write_text(json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
+        _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
         for r in bad:
             failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
             print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
@@ -320,9 +329,6 @@ def main(argv=None) -> int:
     except LimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except NotClosedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,9 +2,11 @@
 
 For a graph G on vertices 1..n, the edge ideal lives in K[x_1..x_n,
 y_1..y_n] and is generated by the 2x2 minors f_ij = x_i*y_j - x_j*y_i over
-the edges {i, j}.  The lex Groebner basis is indexed by admissible paths:
-the element for a path from i to j is u * f_ij where u collects x_k over
-interior vertices k > j and y_k over interior vertices k < i.
+the edges {i, j}.  The lex Groebner basis is indexed by admissible paths,
+each a vertex tuple (i, ..., j): the element for it is u * f_ij where u
+collects x_k over interior vertices k > j and y_k over interior vertices
+k < i.  ``_pair_paths`` walks the pairs and their paths once, with u as a
+support mask, for the basis and for the initial ideal alike.
 
 The Frobenius side: in characteristic p the product of the consecutive
 edge binomials, each raised to the (p-1)-st power, witnesses F-purity via
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .fields import GF, QQ
-from .graphs import AdmissiblePath, Graph, _admissible_paths, is_closed_with_labeling, is_connected
+from .graphs import Graph, _admissible_paths, _bits, is_closed_with_labeling, is_connected
 from .groebner import IdealBasis, frobenius_power, normal_form, not_in_bracket_m
 from .polys import Polynomial, PolyContext
 
@@ -37,7 +39,7 @@ def edge_binomial(ctx: PolyContext, i: int, j: int) -> Polynomial:
     n, shift = ctx.n, ctx.shift
     pos = (1 << shift(i - 1)) + (1 << shift(n + j - 1))  # x_i * y_j
     neg = (1 << shift(j - 1)) + (1 << shift(n + i - 1))  # x_j * y_i
-    return Polynomial(ctx, {pos: one, neg: ctx.field.neg(one)})
+    return Polynomial._from_sums(ctx, {pos: one, neg: ctx.field.neg(one)})
 
 
 def edge_ideal_generators(ctx: PolyContext, g: Graph) -> IdealBasis:
@@ -49,45 +51,65 @@ def edge_ideal_generators(ctx: PolyContext, g: Graph) -> IdealBasis:
 
 @dataclass(frozen=True)
 class GroebnerElement:
-    """One reduced-basis element: the admissible path, its monomial u, and u * f_ij."""
+    """One reduced-basis element: the admissible path as a vertex tuple,
+    its monomial u, and u * f_ij."""
 
-    path: AdmissiblePath
+    path: tuple
     path_monomial: int
     poly: Polynomial
 
 
-def path_monomial(ctx: PolyContext, path: AdmissiblePath) -> int:
+def _u_support(path: tuple, n: int) -> int:
+    """The support of u for the path, bit v for variable v as in
+    ``support_masks`` (x_k is k - 1, y_k is n + k - 1): x_k for each
+    interior k > j and y_k for each interior k < i."""
+    j, u = path[-1], 0
+    for k in path[1:-1]:
+        u |= 1 << (k - 1 if k > j else n + k - 1)
+    return u
+
+
+def _pair_paths(g: Graph):
+    """(i, j, [(path, u support), ...]) for each pair i < j that has an
+    admissible path, pairs in increasing order and paths in search order."""
+    n, masks = g.n, g.masks
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            paths = _admissible_paths(masks, i, j)
+            if paths:
+                yield i, j, [(path, _u_support(path, n)) for path in paths]
+
+
+def _packed(ctx: PolyContext, support: int) -> int:
+    """The packed key of the square-free monomial with this support."""
+    return sum(1 << ctx.shift(v) for v in _bits(support))
+
+
+def path_monomial(ctx: PolyContext, path: tuple) -> int:
     """u for the path, packed: x_k for interior k > j times y_k for interior k < i."""
-    n, j = ctx.n, path.j
-    return sum(1 << ctx.shift(k - 1 if k > j else n + k - 1) for k in path.interior)
+    return _packed(ctx, _u_support(path, ctx.n))
 
 
 def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     """The lex Groebner basis of the edge ideal, one element per admissible path.
 
     Elements come out sorted by (total degree, leading monomial); each is
-    monic with leading monomial u * x_i * y_j.  The path search reads the
-    graph's neighbour masks for every pair (i, j), and u * f_ij is written
-    from packed keys for each path.
+    monic with leading monomial u * x_i * y_j.  The two terms of f_ij come
+    from ``edge_binomial`` once per pair, and each path's u shifts them.
     """
     ctx = PolyContext(g.n, fld)
-    n, shift = g.n, ctx.shift
-    x = [0] + [1 << shift(k - 1) for k in range(1, n + 1)]  # x[k], y[k]: packed keys
-    y = [0] + [1 << shift(n + k - 1) for k in range(1, n + 1)]
-    one, neg_one = fld.one, fld.neg(fld.one)
-    masks = g.masks
     elems = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            paths = _admissible_paths(masks, i, j)
-            if not paths:
-                continue
-            pos, neg = x[i] + y[j], x[j] + y[i]  # the terms of f_ij
-            for path in paths:
-                u = sum(x[k] if k > j else y[k] for k in path.interior)
-                poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: neg_one})
-                elems.append(GroebnerElement(path, u, poly))
-    elems.sort(key=lambda e: (len(e.path.vertices), e.poly.lm()))  # the degree is 2 + |interior|
+    for i, j, paths in _pair_paths(g):
+        f = edge_binomial(ctx, i, j)
+        (pos, one), (neg, minus_one) = f.terms.items()
+        for path, support in paths:
+            if support:
+                u = _packed(ctx, support)
+                poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: minus_one})
+            else:  # the edge {i, j}: u = 1, and the element is f_ij
+                u, poly = 0, f
+            elems.append(GroebnerElement(path, u, poly))
+    elems.sort(key=lambda e: (len(e.path), e.poly.lm()))  # the degree is len(path)
     return elems
 
 
@@ -108,17 +130,8 @@ def _initial_masks(g: Graph) -> list:
     """The supports of ``initial_ideal_generators(g)`` as bitmasks, bit v
     for variable v (x_k is k - 1, y_k is n + k - 1), in path-search order."""
     n = g.n
-    masks = g.masks
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ends = 1 << i - 1 | 1 << n + j - 1  # x_i * y_j
-            for path in _admissible_paths(masks, i, j):
-                m = ends
-                for k in path.interior:
-                    m |= 1 << (k - 1 if k > j else n + k - 1)
-                out.append(m)
-    return out
+    return [u | 1 << i - 1 | 1 << n + j - 1  # u * x_i * y_j
+            for i, j, paths in _pair_paths(g) for _, u in paths]
 
 
 def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -284,28 +297,17 @@ class WeightVector:
         return sum(w * e for w, e in zip(self.weights, self.ctx.exponents(m)))
 
 
-def _dominates(w: WeightVector, polys) -> bool:
-    for f in polys:
-        lead = f.lm()
-        d = w.degree(lead)
-        if any(w.degree(m) >= d for m in f.terms if m != lead):
-            return False
-    return True
-
-
 def find_weight_vector(elements) -> WeightVector:
-    """A weight vector whose weighted order isolates each lex leading term.
+    """A weight vector whose weighted order isolates the lex leading term of
+    each basis element of ``admissible_groebner_basis``.
 
-    Uses the closed form w(x_i) = n - i, w(y_i) = 0: on the basis elements
-    u * f_ij the two monomials differ by n - i versus n - j with i < j, so
-    dominance is strict.  Any other input that defeats it is a ValueError.
+    The closed form w(x_i) = n - i, w(y_i) = 0 does it for every such
+    element: u * f_ij has the terms u * x_i * y_j (the lex lead, since
+    i < j) and u * x_j * y_i, whose weights differ by (n - i) - (n - j) =
+    j - i > 0.  So the weights are returned without a check.
     """
-    polys = [e.poly if isinstance(e, GroebnerElement) else e for e in elements]
-    if not polys:
+    if not elements:
         raise ValueError("need a nonempty basis")
-    ctx = polys[0].ctx
+    ctx = elements[0].poly.ctx
     n = ctx.n
-    closed = WeightVector(tuple(n - i for i in range(1, n + 1)) + (0,) * n, ctx)
-    if not _dominates(closed, polys):
-        raise ValueError("the closed-form weights do not isolate every leading term")
-    return closed
+    return WeightVector(tuple(n - i for i in range(1, n + 1)) + (0,) * n, ctx)

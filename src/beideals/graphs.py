@@ -5,15 +5,15 @@ tuple ``masks`` of neighbour bitmasks, where bit u - 1 of entry v - 1 is set
 for each neighbour u of v.  Every algorithm below reads these masks.
 
 Provides the closedness predicates, a LexBFS search for closed labelings,
-admissible-path enumeration, a canonical labeling (minimum upper-triangular
-adjacency bit-string over all vertex permutations, found by refining an
-ordered partition of the unplaced vertices into cells, one placed vertex at
-a time), and isomorphism-free generation of graphs by canonical
-augmentation: each class on n vertices is built once from one class on
-n - 1 vertices, with no table of the codes seen.  The canonical search is
-the only isomorphism engine: its leaves that tie the minimum code, with the
-twin swaps it skips, generate the automorphism group, and orbits are
-closures under those generators.
+admissible-path enumeration (a path is its vertex tuple), a canonical
+labeling (minimum upper-triangular adjacency bit-string over all vertex
+permutations, found by refining an ordered partition of the unplaced
+vertices into cells, one placed vertex at a time), and isomorphism-free
+generation of graphs by canonical augmentation: each class on n vertices
+is built once from one class on n - 1 vertices, with no table of the codes
+seen.  The canonical search is the only isomorphism engine: its leaves
+that tie the minimum code, with the twin swaps it skips, generate the
+automorphism group, and orbits are closures under those generators.
 """
 
 from __future__ import annotations
@@ -197,34 +197,17 @@ def find_closed_labeling(g: Graph):
 # admissible paths
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissiblePath:
-    """A path i = v_0, v_1, ..., v_r = j with i < j satisfying:
+def admissible_paths(g: Graph, i: int, j: int) -> list:
+    """All admissible paths from i to j (requires i < j), as vertex tuples
+    (i, v_1, ..., v_{r-1}, j) in lexicographic order.
+
+    A path i = v_0, v_1, ..., v_r = j is admissible when:
 
     (i)   the vertices are pairwise distinct;
     (ii)  every interior vertex is either < i or > j;
     (iii) dropping any proper subset of the interior vertices (keeping
           their order) never leaves a path from i to j; equivalently, no
           two non-consecutive vertices of the path are adjacent.
-    """
-
-    vertices: tuple
-
-    @property
-    def i(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def j(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def interior(self) -> tuple:
-        return self.vertices[1:-1]
-
-
-def admissible_paths(g: Graph, i: int, j: int) -> list:
-    """All admissible paths from i to j (requires i < j), in lexicographic order.
 
     Condition (iii) says the path has no chord, so a depth-first search
     extends a path by w only when w is adjacent to no vertex of the path
@@ -251,7 +234,7 @@ def _admissible_paths(masks: tuple, i: int, j: int) -> list:
         # vertices, and the vertices strictly between i and j
         nb = masks[seq[-1] - 1]
         if nb & target:
-            found.append(AdmissiblePath(seq + (j,)))
+            found.append(seq + (j,))
             return
         free = nb & ~blocked
         blocked |= nb

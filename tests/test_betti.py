@@ -391,6 +391,19 @@ def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
     assert (len(roots), len(eliminated), unions) == (3770, 36, 76148)
 
 
+def test_path_initial_ideals_need_no_elimination(monkeypatch):
+    # the supports x_i*y_{i+1} are pairwise disjoint, so no vertex is ever
+    # dominated; the matching still decides every root
+    eliminated = counted(
+        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+    )
+    for n in range(1, 11):
+        tables = betti_tables(initial_ideal_generators(path_graph(n)), 2 * n, [QQ, GF(2)])
+        expected = {(i, 2 * i): math.comb(n - 1, i) for i in range(n)}
+        assert [t.as_dict() for t in tables] == [expected, expected], n
+    assert eliminated == []
+
+
 # root homology by iterated element matchings ------------------------------
 
 def rank_key(masks, sigma, fields):

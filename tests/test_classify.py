@@ -1,7 +1,9 @@
 """Classification harness: per-graph rows, report serialization, bound checks."""
 
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -15,6 +17,8 @@ from beideals import (
     betti_table,
     classify_graph,
     classify_range,
+    enumerate_connected_graphs,
+    find_closed_labeling,
     fpt_squarefree,
     graph_id,
     homological_summary,
@@ -98,6 +102,40 @@ def test_closed_rows_have_fpt_two(rows5):
     for r in rows5:
         if r.is_closed:
             assert r.fpt == 2, r.graph_id
+
+
+def classify_labeled(g):
+    """The labeling classify_graph computes under: closed when possible."""
+    sigma = find_closed_labeling(g)
+    return relabel(g, sigma) if sigma else g
+
+
+def is_simplicial(g, v):
+    """Whether the neighbours of v are pairwise adjacent."""
+    nbrs = [u for u in range(1, g.n + 1) if g.has_edge(u, v)]
+    return all(g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2))
+
+
+def test_fpt_two_with_x_n_and_y_1_absent_exactly_when_the_ends_are_simplicial():
+    # README's rule, on every class with n <= 7 under classify's labeling
+    # and on every class with n <= 6 under two seeded relabelings
+    rng = random.Random(26)
+    checked = held = 0
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            labelings = [classify_labeled(g)]
+            for _ in range(2 if n <= 6 else 0):
+                sigma = list(range(1, n + 1))
+                rng.shuffle(sigma)
+                labelings.append(relabel(g, sigma))
+            for k, h in enumerate(labelings):
+                report = fpt_squarefree(initial_ideal_generators(h), 2 * n)
+                claim = report.fpt == 2 and set(report.absent) == {n - 1, n}  # x_n, y_1
+                assert claim == (is_simplicial(h, 1) and is_simplicial(h, n)), (h.edges, report)
+                checked += 1
+                held += claim and k == 0
+    assert checked == 3 * 143 + 853
+    assert held == 996 - 876  # the classes that criterion 4's claim does not miss
 
 
 def test_fpt_bound_violations_are_flagged(rows5):
@@ -199,7 +237,7 @@ def test_jobs_start_at_most_one_worker_per_cpu_and_class(monkeypatch, rows5):
             handed_out.append((chunksize, [(-len(g.edges), g.n) for g in items]))
             return [func(x) for x in items]
 
-    monkeypatch.setattr("beideals.classify.multiprocessing.Pool", InProcessPool)
+    monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
     monkeypatch.setattr("beideals.classify.os.cpu_count", lambda: 4)
     assert classify_range(RunConfig(2, 5, jobs=100_000)) == rows5
     assert classify_range(RunConfig(2, 3, jobs=100_000)) == rows5[:3]  # 3 classes

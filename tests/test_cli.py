@@ -100,6 +100,13 @@ def test_fedder_path_certificate(p4, tmp_path, capsys):
     assert cert["p"] == 2
 
 
+def test_fedder_out_into_a_missing_directory_is_bad_input(p4, tmp_path, capsys):
+    out_file = tmp_path / "missing_dir" / "x.json"
+    assert main(["fedder", p4, "2", "--out", str(out_file)]) == 2
+    assert f"error: cannot write {out_file}" in capsys.readouterr().err
+    assert not out_file.parent.exists()
+
+
 def test_fedder_rejects_nonclosed_without_force(c4, capsys):
     assert main(["fedder", c4, "2"]) == 2
     assert "force" in capsys.readouterr().err
@@ -208,6 +215,14 @@ def test_classify_flags_fpt_violations(tmp_path, capsys):
         assert d["bound_checks"]["fpt_eq_2"] is False
     csv_lines = (out_dir / "report.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 9  # header + rows for n in 2..4
+
+
+def test_classify_out_onto_an_existing_file_is_bad_input(tmp_path, capsys):
+    out_file = tmp_path / "taken"
+    out_file.write_text("kept\n")
+    assert main(["classify", "--n-max", "3", "--out", str(out_file)]) == 2
+    assert f"error: cannot write {out_file}" in capsys.readouterr().err
+    assert out_file.read_text() == "kept\n"
 
 
 def test_classify_enumeration_limit(tmp_path, capsys):

@@ -18,15 +18,26 @@ def test_star_import_exports_no_submodules():
     assert len(set(beideals.__all__)) == len(beideals.__all__)
 
 
-def test_import_loads_only_the_standard_library():
-    # multiprocessing registers __mp_main__, an alias of __main__
-    check = (
-        "import sys; before = set(sys.modules); import beideals; "
-        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(loaded - set(sys.stdlib_module_names) - {'beideals', '__mp_main__'}))"
-    )
+def fresh_import(check):
+    """The output of ``check``, run in a new interpreter that imports the
+    package from this source tree."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(beideals.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", check], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_only_the_standard_library():
+    check = (
+        "import sys; before = set(sys.modules); import beideals; "
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'beideals'}))"
+    )
+    assert fresh_import(check) == "[]"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # classify_range imports it only when it starts worker processes
+    check = "import sys, beideals; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    assert fresh_import(check) == "[]"
