@@ -51,11 +51,11 @@ Each root's restriction is visited once, whatever the number of fields.
 subsets and pairs f with f + v, for each vertex v in turn, among the faces
 still unpaired.  That is an acyclic matching whose incidences are +-1, so
 by algebraic Morse theory the unpaired faces span a complex over Z with
-the same homology.  When they all have one size j, its differentials are
-zero, and the ranks are their count in degree j - 1 over every field.
+the same homology.  When they all lie in ``LEVEL[j]``, its differentials
+are zero, and the ranks are their count in degree j - 1 over every field.
 Under classify's labelings that decides 3,734 of the 3,770 roots with
-n <= 6.  The rest go to elimination: ``star_quotient_levels`` leaves out
-the closed star of the vertex in the most faces, a cone, and
+n <= 6.  The rest go to elimination: ``root_ranks`` cuts from the same
+faces the closed star of the vertex in the most faces, a cone, and
 ``homology_by_field`` ranks what remains.  The F_2 ranks come from XOR
 elimination on int bitset rows.  The QQ ranks are certified from F_2
 when that is proven: dim_Q H~_i <= dim_F2 H~_i for every i (universal
@@ -80,7 +80,6 @@ from .simplicial import (
     MAX_APPEARING,
     root_ranks,
     subset_lattice,
-    subset_levels,
     support_masks,
 )
 
@@ -139,7 +138,7 @@ def _betti_tables_of_masks(masks, nvars: int, fields) -> BettiTables:
         raise LimitExceededError(
             f"Betti tables are capped at {MAX_APPEARING} appearing variables, got {k}"
         )
-    level = subset_levels(k)
+    level = subset_lattice(k)[2]
     unions, faces, dominated = _subset_sets(local, k)
     roots = unions
     for d in dominated:
@@ -201,7 +200,7 @@ def _subset_sets(local, k: int) -> tuple:
     contains m2, which is impossible.  When m2 is {v}, v is no vertex and
     the restrictions to sigma and sigma - v are equal.
     """
-    full, has = subset_lattice(k)
+    full, has, _ = subset_lattice(k)
     through = [[] for _ in range(k)]  # u -> (SUP(m), witnessed vertices of m)
     for m in local:
         sup, witnessed = full, 0
@@ -218,25 +217,19 @@ def _subset_sets(local, k: int) -> tuple:
     apexes = [0] * k  # v -> the subsets with an apex u for v
     for u, pairs in enumerate(through):
         covered = candidates = 0
-        everywhere = -1  # the vertices every support through u witnesses
         for s, w in pairs:
             covered |= s
             candidates |= w
-            everywhere &= w
         unions &= ~has[u] | covered
         faces &= ~covered
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
-            v = bit.bit_length() - 1
-            if everywhere & bit:
-                apexes[v] |= has[u]
-                continue
             blocked = 0
             for s, w in pairs:
                 if not w & bit:
                     blocked |= s
-            apexes[v] |= has[u] & ~blocked
+            apexes[bit.bit_length() - 1] |= has[u] & ~blocked
     return unions, faces, [unions & has[v] & a for v, a in enumerate(apexes)]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -79,6 +80,14 @@ def _write(path: pathlib.Path, text: str) -> None:
         path.write_text(text)
     except OSError as e:
         raise ValueError(f"cannot write {path}: {e}") from None
+
+
+def _check_writable(path: pathlib.Path) -> None:
+    """Refuse, before a run, an output file that is a directory or lies in
+    a missing or read-only directory; nothing is created."""
+    target = path if path.exists() else path.parent
+    if path.is_dir() or not path.parent.is_dir() or not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write {path}: not a writable file in an existing directory")
 
 
 def _emit(payload, as_json: bool, text_lines):
@@ -160,6 +169,8 @@ def cmd_fedder(args) -> int:
     g = _load_graph(args.graph)
     if args.p not in (2, 3, 5):
         raise ValueError("supported primes are 2, 3 and 5")
+    if args.out:
+        _check_writable(pathlib.Path(args.out))
     cert = fedder_check(g, args.p, force=args.force)
     payload = cert.to_json_dict()
     text = [

@@ -27,7 +27,7 @@ ENUMERATION_LIMIT = 7
 
 
 class LimitExceededError(ValueError):
-    """A size-guarded search was asked to exceed its configured limit."""
+    """A size-guarded computation was asked to exceed one of its fixed limits."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Stanley-Reisner complexes of square-free monomial ideals, with exact
-simplicial homology over a chosen coefficient field.
+"""Restrictions of the Stanley-Reisner complex of a square-free monomial
+ideal to vertex sets, and their exact reduced homology over QQ and F_p,
+for Hochster's formula in ``betti``.
 
 Vertices are variable indices 0..nvars-1 and faces are bitmasks over them.
 A subset is a face exactly when it contains no generator's support.  The
@@ -7,22 +8,24 @@ reduced chain complex includes the empty face, so the homology of the
 complex whose only face is the empty set has rank 1 in dimension -1.
 
 Sets of subsets are Python ints on the subset lattice: with s vertices
-numbered 0..s-1, subset f is bit f of an int with 2^s bits.  ``HAS[v]`` is
-the set of subsets containing v, ``LEVEL[j]`` the set of subsets of size j
-(built apart, for Hochster sums only), and the subsets containing a support
-m are ``SUP(m)``, the AND of ``HAS[v]`` over v in m.  The faces of a
-restriction are then the full set minus every ``SUP(m)``, a few int
-operations for all subsets at once, and ``by_size`` lists them.
+numbered 0..s-1, subset f is bit f of an int with 2^s bits.
+``subset_lattice(s)`` gives the full set, ``HAS[v]``, the set of subsets
+containing v, and ``LEVEL[j]``, the set of subsets of size j, built
+together once per s.  The subsets containing a support m are ``SUP(m)``,
+the AND of ``HAS[v]`` over v in m.  The faces of a restriction are then
+the full set minus every ``SUP(m)``, a few int operations for all subsets
+at once.
 
 ``root_ranks`` gives the homology of a restriction from an acyclic
-matching on that set: faces f and f + v are paired for one vertex v after
-another, and when the unmatched faces all have one size, their count is
-the only nonzero rank, over every field.  Otherwise it falls back to
-elimination on the star quotient.  There boundary rows are built once per
-level, as int bitsets over the faces one size down.  F_2 ranks come from
-XOR elimination on those bitsets; QQ and odd F_p ranks from one
-fraction-free elimination, ``matrix_rank``, on the same rows with the
-boundary's signs.
+matching on its faces: faces f and f + v are paired for one vertex v after
+another, and one test decides the unmatched set R.  When R is empty the
+homology is zero; when R lies in ``LEVEL[j]``, j the size of its top cell,
+|R| is the only nonzero rank, in degree j - 1, over every field.
+Otherwise it falls back to elimination on the star quotient, cut from the
+same faces.  There boundary rows are built once per level, as int bitsets
+over the faces one size down.  F_2 ranks come from XOR elimination on
+those bitsets; QQ and odd F_p ranks from one fraction-free elimination,
+``matrix_rank``, on the same rows with the boundary's signs.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ def support_masks(mingens, nvars: int) -> list:
 
 @lru_cache(maxsize=None)
 def subset_lattice(k: int) -> tuple:
-    """The set of all 2^k subsets and ``HAS[v]`` for each vertex v, as ints
-    with bit sigma for subset sigma.  Kept for every k seen; all k up to
-    ``MAX_APPEARING`` take about 5.3 MiB."""
+    """The set of all 2^k subsets, ``HAS[v]`` for each vertex v and
+    ``LEVEL[j]`` for j = 0..k, the subsets of size j, as ints with bit
+    sigma for subset sigma.  Kept for every k seen; all k up to
+    ``MAX_APPEARING`` take about 10 MiB."""
     size = 1 << k
     has = []
     for v in range(k):
@@ -68,19 +72,10 @@ def subset_lattice(k: int) -> tuple:
             pattern |= pattern << period
             period <<= 1
         has.append(pattern)
-    return (1 << size) - 1, tuple(has)
-
-
-@lru_cache(maxsize=None)
-def subset_levels(k: int) -> tuple:
-    """``LEVEL[s]`` for s = 0..k: the subsets of size s of k vertices, as
-    ints with bit sigma for subset sigma.  Only ``betti_tables`` reads
-    them, once per k appearing variables, so restrictions never build
-    them; k = ``MAX_APPEARING`` takes about 2.5 MiB."""
     level = [1]  # the subsets of no vertices: only the empty one, of size 0
     for v in range(k):
         level = [low | high << (1 << v) for low, high in zip(level + [0], [0] + level)]
-    return tuple(level)
+    return (1 << size) - 1, tuple(has), tuple(level)
 
 
 def by_size(members: int) -> list:
@@ -108,43 +103,6 @@ def by_size(members: int) -> list:
 # faces and homology of restrictions, used by Hochster's formula
 # ----------------------------------------------------------------------
 
-def face_levels(masks, sigma: int) -> list:
-    """Faces of the restriction to the vertex set ``sigma``, by size.
-
-    ``levels[k]`` lists the faces with k vertices as bitmasks, increasing,
-    so ``levels[0] == [0]`` and ``len(levels) - 1`` is the largest face size.
-    """
-    faces, _ = _restriction(masks, sigma)
-    vertices = [1 << v for v in range(sigma.bit_length()) if sigma >> v & 1]
-    return [
-        [sum(u for i, u in enumerate(vertices) if f >> i & 1) for f in level]
-        for level in by_size(faces)
-    ]
-
-
-def star_quotient_levels(masks, sigma: int) -> list:
-    """Faces of the restriction to ``sigma`` outside the closed star of a
-    vertex v, by size: the basis of the quotient chain complex by the star.
-
-    The star is a cone with apex v, so it is acyclic, and the quotient has
-    the reduced homology of the restriction over any coefficients.  A face
-    f lies outside the star exactly when it avoids v and f + v is no face.
-    The star holds the T faces through v and the T faces they give without
-    v, so v is the vertex in the most faces, which leaves the fewest.  When
-    no vertex of ``sigma`` is a face, nothing is left out and the whole
-    complex comes back.
-
-    The faces are renumbered onto sigma's vertices 0..|sigma|-1 in
-    increasing order, not given on sigma's own bits: homology depends only
-    on the face poset, which the renumbering keeps.
-    """
-    faces, has = _restriction(masks, sigma)
-    if has:
-        v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
-        faces &= ~(has[v] | faces >> (1 << v))
-    return by_size(faces)
-
-
 def root_ranks(masks, sigma: int, fields) -> tuple:
     """The nonzero reduced homology ranks of the restriction to ``sigma``,
     one tuple of (degree, rank) per field, read off an acyclic matching
@@ -157,40 +115,48 @@ def root_ranks(masks, sigma: int, fields) -> tuple:
     Simplicial Complexes of Graphs, LNM 1928, section 4.1), and each matched
     incidence is +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
     2006) the reduced chain complex over Z is homotopy equivalent to a free
-    complex on the critical cells R.  When R is empty the homology is zero;
-    when every cell of R has size j, every Morse differential is zero, and
-    the homology is free of rank |R| in degree j - 1 over every field.
+    complex on the critical cells R.  When R is empty the homology is zero.
+    When R lies in ``LEVEL[j]``, j the size of its top cell, every Morse
+    differential is zero, and the homology is free of rank |R| in degree
+    j - 1 over every field.
+
     Otherwise the Morse differentials are not the boundary restricted to R,
-    so the ranks come from ``homology_by_field`` on the star quotient.
-    R with at most one cell, nearly every root's, is read off its top bit
-    without listing it.
+    and ``homology_by_field`` ranks the star quotient of the vertex v in
+    the most faces: the faces that avoid v and give no face with v,
+    ``faces & ~(HAS[v] | faces >> 2^v)``.  The closed star of v is a cone,
+    so it is acyclic, and the quotient has the reduced homology of the
+    restriction over any coefficients.  The star holds the T faces through
+    v and the T faces they give without v, so this v leaves the fewest
+    faces to eliminate.  The faces stay on sigma's own lattice: homology
+    depends only on the face poset, which the renumbering keeps.
     """
-    faces, has = _restriction(masks, sigma)
+    faces, has, level = _restriction(masks, sigma)
+    critical = faces
     for v, h in enumerate(has):
-        low = faces & ~h & faces >> (1 << v)
-        faces &= ~(low | low << (1 << v))
-    if faces & (faces - 1) == 0:
-        cell = faces.bit_length() - 1
-        return (((cell.bit_count() - 1, 1),) if faces else (),) * len(fields)
-    levels = by_size(faces)
-    critical = tuple((size - 1, len(cells)) for size, cells in enumerate(levels) if cells)
-    if len(critical) > 1:
-        ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
-        return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
-    return (critical,) * len(fields)
+        low = critical & ~h & critical >> (1 << v)
+        critical &= ~(low | low << (1 << v))
+    if not critical:
+        return ((),) * len(fields)
+    j = (critical.bit_length() - 1).bit_count()
+    if not critical & ~level[j]:
+        return (((j - 1, critical.bit_count()),),) * len(fields)
+    v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
+    quotient = faces & ~(has[v] | faces >> (1 << v))
+    ranks = homology_by_field(by_size(quotient), fields)
+    return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
 
 
 def _restriction(masks, sigma: int) -> tuple:
     """The faces of the restriction to ``sigma`` as a set over sigma's own
     subset lattice, its vertices renumbered 0..s-1 in increasing order, and
-    that lattice's ``HAS``.  Raises ``LimitExceededError`` past
-    ``MAX_APPEARING`` vertices, before any lattice is built."""
+    that lattice's ``HAS`` and ``LEVEL``.  Raises ``LimitExceededError``
+    past ``MAX_APPEARING`` vertices, before any lattice is built."""
     s = sigma.bit_count()
     if s > MAX_APPEARING:
         raise LimitExceededError(
             f"restrictions are capped at {MAX_APPEARING} vertices, got {s}"
         )
-    full, has = subset_lattice(s)
+    full, has, level = subset_lattice(s)
     faces = full
     for m in masks:
         if m & sigma == m:
@@ -200,15 +166,20 @@ def _restriction(masks, sigma: int) -> tuple:
                 sup &= has[(sigma & low - 1).bit_count()]
                 m ^= low
             faces &= ~sup
-    return faces, has
+    return faces, has, level
 
 
 def restriction_faces(masks, sigma: int) -> list:
-    """All faces of the restriction to the vertex set ``sigma`` (a bitmask).
-
-    Returns face bitmasks including 0 (the empty face), smallest first.
-    """
-    return [f for level in face_levels(masks, sigma) for f in level]
+    """All faces of the restriction to the vertex set ``sigma`` (a bitmask),
+    as bitmasks on sigma's own bits: the empty face 0 first, then by size,
+    increasing within a size."""
+    faces = _restriction(masks, sigma)[0]
+    vertices = [1 << v for v in range(sigma.bit_length()) if sigma >> v & 1]
+    return [
+        sum(u for i, u in enumerate(vertices) if f >> i & 1)
+        for level in by_size(faces)
+        for f in level
+    ]
 
 
 def matrix_rank(rows, fld) -> int:

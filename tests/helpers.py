@@ -1,0 +1,70 @@
+"""Graph builders and labelings shared by the test files, and the
+by-size face listings of restrictions that the homology tests compare
+against."""
+
+import itertools
+
+from beideals import Graph, find_closed_labeling, is_closed_with_labeling, relabel
+from beideals.simplicial import _restriction, by_size
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def complete_graph(n):
+    return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, list(g.edges) + [(i + g.n, j + g.n) for i, j in h.edges])
+
+
+def classify_labeled(g):
+    """``g`` under the labeling classify_graph uses: closed when one
+    exists, else the canonical one as given."""
+    sigma = find_closed_labeling(g)
+    return relabel(g, sigma) if sigma else g
+
+
+def first_open_relabeling(g):
+    """The first relabeling, in permutation order, that is not closed; None
+    for a complete graph, whose every labeling is closed."""
+    for sigma in itertools.permutations(range(1, g.n + 1)):
+        h = relabel(g, sigma)
+        if not is_closed_with_labeling(h):
+            return h
+    return None
+
+
+def face_levels(masks, sigma: int) -> list:
+    """Faces of the restriction to the vertex set ``sigma``, by size.
+
+    ``levels[k]`` lists the faces with k vertices as bitmasks on sigma's
+    own bits, increasing, so ``levels[0] == [0]`` and ``len(levels) - 1``
+    is the largest face size.
+    """
+    faces = _restriction(masks, sigma)[0]
+    vertices = [1 << v for v in range(sigma.bit_length()) if sigma >> v & 1]
+    return [
+        [sum(u for i, u in enumerate(vertices) if f >> i & 1) for f in level]
+        for level in by_size(faces)
+    ]
+
+
+def star_quotient_levels(masks, sigma: int) -> list:
+    """Faces of the restriction to ``sigma`` outside the closed star of the
+    vertex v in the most faces, by size: the basis of the quotient chain
+    complex by the star, which is a cone, so the quotient has the reduced
+    homology of the restriction.  A face f lies outside the star exactly
+    when it avoids v and f + v is no face.  When no vertex of ``sigma`` is
+    a face, nothing is left out and the whole complex comes back.
+
+    The faces are renumbered onto sigma's vertices 0..|sigma|-1 in
+    increasing order, not given on sigma's own bits.
+    """
+    faces, has, _ = _restriction(masks, sigma)
+    if has:
+        v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
+        faces &= ~(has[v] | faces >> (1 << v))
+    return by_size(faces)

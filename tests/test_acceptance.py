@@ -35,6 +35,7 @@ from beideals.groebner import (
     frobenius_power,
     not_in_bracket_m,
 )
+from helpers import classify_labeled, disjoint_union, path_graph
 from hochster_oracle import betti_by_restriction
 from test_groebner import colon_contains
 
@@ -43,21 +44,6 @@ def connected_classes(n_max):
     for n in range(1, n_max + 1):
         for g in enumerate_connected_graphs(n):
             yield g
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def preferred_labeling(g):
-    """Closed labeling when one exists, else the canonical one as given."""
-    sigma = find_closed_labeling(g)
-    return relabel(g, sigma) if sigma else g
-
-
-def disjoint_union(a, b):
-    shifted = [(i + a.n, j + a.n) for i, j in b.edges]
-    return Graph(a.n + b.n, sorted(a.edges) + shifted)
 
 
 def test_criterion_1_gb_matches_buchberger_oracle():
@@ -114,7 +100,7 @@ def test_criterion_4_fpt_two_with_absent_xn_y1():
     failures = []
     total = 0
     for g in connected_classes(7):
-        h = preferred_labeling(g)
+        h = classify_labeled(g)
         report = fpt_squarefree(initial_ideal_generators(h), 2 * h.n)
         total += 1
         if report.fpt != 2 or set(report.absent) != {h.n - 1, h.n}:
@@ -171,7 +157,7 @@ def test_criterion_7_gorenstein_mechanism(classification_rows):
     rows = [r for r in classification_rows if r.n >= 2]
     for row in rows:
         if row.is_path:
-            mingens = initial_ideal_generators(preferred_labeling(path_graph(row.n)))
+            mingens = initial_ideal_generators(classify_labeled(path_graph(row.n)))
             assert len(mingens) == row.n - 1  # complete intersection
             assert row.pd == row.n - 1
             assert row.type == 1

@@ -27,23 +27,19 @@ from beideals.graphs import (
     LimitExceededError,
     enumerate_connected_graphs,
     find_closed_labeling,
-    is_closed_with_labeling,
     relabel,
 )
 from beideals.simplicial import (
+    _restriction,
     by_size,
     homology_by_field,
     root_ranks,
-    star_quotient_levels,
     subset_lattice,
     support_masks,
 )
+from helpers import classify_labeled, first_open_relabeling, path_graph, star_quotient_levels
 from hochster_oracle import betti_by_restriction
 from scan_engine import scan_betti_table, scan_facets
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -96,22 +92,6 @@ def test_agrees_with_restriction_oracle_spot_check():
     gens = initial_ideal_generators(g)
     for fld in (QQ, GF(2)):
         assert betti_table(gens, 8, fld).as_dict() == betti_by_restriction(gens, 8, fld)
-
-
-def classify_labeled(g):
-    """``g`` under the labeling classify_graph uses."""
-    sigma = find_closed_labeling(g)
-    return relabel(g, sigma) if sigma else g
-
-
-def first_open_relabeling(g):
-    """The first relabeling, in permutation order, that is not closed; None
-    for a complete graph, whose every labeling is closed."""
-    for sigma in itertools.permutations(range(1, g.n + 1)):
-        h = relabel(g, sigma)
-        if not is_closed_with_labeling(h):
-            return h
-    return None
 
 
 def test_betti_tables_match_scan_engine():
@@ -379,6 +359,7 @@ def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
     eliminated = counted(
         monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
     )
+    built = counted(monkeypatch, "beideals.simplicial._restriction", _restriction)
     unions = 0
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
@@ -389,6 +370,8 @@ def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
     # vertex, and the matching in vertex order 0..s-1 leaves 36 of those
     # roots with critical cells of two or more sizes
     assert (len(roots), len(eliminated), unions) == (3770, 36, 76148)
+    # each root's faces are built once, for the fallback's star quotient too
+    assert [args[1] for args in built] == [args[1] for args in roots]
 
 
 def test_path_initial_ideals_need_no_elimination(monkeypatch):

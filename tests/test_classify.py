@@ -18,7 +18,6 @@ from beideals import (
     classify_graph,
     classify_range,
     enumerate_connected_graphs,
-    find_closed_labeling,
     fpt_squarefree,
     graph_id,
     homological_summary,
@@ -28,6 +27,7 @@ from beideals import (
     rows_to_json,
     violations,
 )
+from helpers import classify_labeled
 
 CLAW_ID = "4-0b"
 C4_ID = "4-1e"
@@ -102,12 +102,6 @@ def test_closed_rows_have_fpt_two(rows5):
     for r in rows5:
         if r.is_closed:
             assert r.fpt == 2, r.graph_id
-
-
-def classify_labeled(g):
-    """The labeling classify_graph computes under: closed when possible."""
-    sigma = find_closed_labeling(g)
-    return relabel(g, sigma) if sigma else g
 
 
 def is_simplicial(g, v):

@@ -100,7 +100,11 @@ def test_fedder_path_certificate(p4, tmp_path, capsys):
     assert cert["p"] == 2
 
 
-def test_fedder_out_into_a_missing_directory_is_bad_input(p4, tmp_path, capsys):
+def test_fedder_out_into_a_missing_directory_is_bad_input(p4, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("fedder_check ran before --out was checked")
+
+    monkeypatch.setattr("beideals.cli.fedder_check", no_run)
     out_file = tmp_path / "missing_dir" / "x.json"
     assert main(["fedder", p4, "2", "--out", str(out_file)]) == 2
     assert f"error: cannot write {out_file}" in capsys.readouterr().err

@@ -25,7 +25,6 @@ from beideals import (
     format_poly,
     frobenius_power,
     initial_ideal_generators,
-    is_closed_with_labeling,
     normal_form,
     pair_power_product,
     path_monomial,
@@ -35,16 +34,9 @@ from beideals import (
 from beideals.edgeideals import _initial_masks
 from beideals.graphs import _all_graphs_up_to_iso
 from beideals.simplicial import support_masks
+from helpers import complete_graph, first_open_relabeling, path_graph
 from test_groebner import is_groebner_basis
 from tuple_polys import mono_divides, mono_is_squarefree
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complete_graph(n):
-    return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
 
 
 # generators -------------------------------------------------------------
@@ -243,15 +235,6 @@ def test_fedder_certificates_on_paths():
         assert all(cert.edge_memberships.values())
         # taken from the leading monomial: the witness is homogeneous
         assert cert.witness_degree == 2 * (n - 1) * (p - 1) == cert.witness.degree()
-
-
-def first_open_relabeling(g):
-    """The first relabeling, in permutation order, that is not closed."""
-    for sigma in itertools.permutations(range(1, g.n + 1)):
-        h = relabel(g, sigma)
-        if not is_closed_with_labeling(h):
-            return h
-    return None
 
 
 def test_frobenius_of_admissible_basis_is_the_bracket_basis():

@@ -48,6 +48,7 @@ from beideals.graphs import (
     _generators,
     _new_neighbourhoods,
 )
+from helpers import complete_graph, disjoint_union, path_graph
 
 PETERSEN = Graph(
     10,
@@ -60,14 +61,6 @@ PETERSEN = Graph(
 K9_WITH_LEAVES = Graph(
     12, list(itertools.combinations(range(1, 10), 2)) + [(1, 10), (1, 11), (1, 12)]
 )
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complete_graph(n):
-    return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
 
 
 def cycle_graph(n):
@@ -362,10 +355,6 @@ def paley_graph(q):
     squares = {x * x % q for x in range(1, q)}
     return Graph(q, [(a + 1, b + 1) for a, b in itertools.combinations(range(q), 2)
                      if (b - a) % q in squares])
-
-
-def disjoint_union(g, h):
-    return Graph(g.n + h.n, list(g.edges) + [(i + g.n, j + g.n) for i, j in h.edges])
 
 
 # the pentagonal prism C_5 x K_2: 3-regular on 10 vertices, like Petersen

@@ -1,5 +1,7 @@
 """The package's public namespace and its runtime dependencies."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -41,3 +43,18 @@ def test_import_leaves_multiprocessing_unloaded():
     # classify_range imports it only when it starts worker processes
     check = "import sys, beideals; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
     assert fresh_import(check) == "[]"
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark scripts import some names straight from the package's
+    # modules, and no other test runs them; each such name must exist
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    checked = []
+    for script in sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "beideals":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (script.name, node.module, alias.name)
+                    checked.append(alias.name)
+    assert "restriction_faces" in checked

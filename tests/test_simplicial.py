@@ -12,13 +12,13 @@ from beideals.simplicial import (
     _boundary_rows,
     _signed_rows,
     by_size,
-    face_levels,
     homology_by_field,
     matrix_rank,
     restriction_faces,
-    star_quotient_levels,
+    root_ranks,
     support_masks,
 )
+from helpers import face_levels, star_quotient_levels
 from scan_engine import boundary_rows, scan_facets, scan_restriction_faces
 
 
@@ -227,9 +227,9 @@ def test_restrictions_past_the_cap_build_no_lattice(monkeypatch):
     monkeypatch.setattr("beideals.simplicial.subset_lattice", no_lattice)
     sigma = (1 << MAX_APPEARING + 1) - 1
     masks = [mask(0, 1), mask(1, 2)]
-    for levels in (face_levels, star_quotient_levels):
+    for run in (lambda: restriction_faces(masks, sigma), lambda: root_ranks(masks, sigma, [QQ])):
         with pytest.raises(LimitExceededError, match="capped at 20 vertices, got 21"):
-            levels(masks, sigma)
+            run()
 
 
 def onto(sigma, f):
