@@ -10,10 +10,11 @@ labeling (minimum upper-triangular adjacency bit-string over all vertex
 permutations, found by refining an ordered partition of the unplaced
 vertices into cells, one placed vertex at a time), and isomorphism-free
 generation of graphs by canonical augmentation: each class on n vertices
-is built once from one class on n - 1 vertices, with no table of the codes
-seen.  The canonical search is the only isomorphism engine: its leaves
-that tie the minimum code, with the twin swaps it skips, generate the
-automorphism group, and orbits are closures under those generators.
+is built once from one class on n - 1 vertices, the one left when the last
+vertex of largest degree in canonical order is deleted, with no table of
+the codes seen.  The canonical search is the only isomorphism engine: its
+leaves that tie the minimum code, with the twin swaps it skips, generate
+the automorphism group, and orbits are closures under those generators.
 """
 
 from __future__ import annotations
@@ -412,17 +413,15 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     representative on n - 1 vertices, disconnected ones included, gets a
     new vertex n joined to one neighbourhood per orbit of its automorphism
     group.  A child is accepted when n could be the vertex its canonical
-    deletion removes: among the vertices with the largest key (degree, sum
-    of the neighbours' degrees), the one that comes last in the canonical
-    labeling, taken up to automorphisms of the child.  The key is an
-    isomorphism invariant, so that vertex's orbit is determined by the
-    class alone.  So n must have the largest key, which most children fail
-    before ``_canonical_search`` runs on their masks (the degree part
-    already when the neighbourhoods are chosen), and a canonical vertex u
-    other than n must lie in the orbit of n under that search's
-    generators.  Every class is then accepted exactly once: deleting its
-    canonical vertex gives one parent class, and children of one parent
-    that are isomorphic by a map fixing n come from one orbit.
+    deletion removes: among the vertices of largest degree, the one that
+    comes last in the canonical labeling, taken up to automorphisms of the
+    child.  Degree is an isomorphism invariant, so that vertex's orbit is
+    determined by the class alone.  So n must have the largest degree,
+    which ``_new_neighbourhoods`` already ensures, and a canonical vertex u
+    other than n must lie in the orbit of n under the generators of the
+    child's canonical search.  Every class is then accepted exactly once:
+    deleting its canonical vertex gives one parent class, and children of
+    one parent that are isomorphic by a map fixing n come from one orbit.
     """
     if n == 1:
         return (Graph(1, []),)
@@ -431,12 +430,9 @@ def _all_graphs_up_to_iso(n: int) -> tuple:
     for parent in _all_graphs_up_to_iso(m):
         for s in _new_neighbourhoods(parent):
             masks = [a | (s >> v & 1) << m for v, a in enumerate(parent.masks)] + [s]
-            deg = [a.bit_count() for a in masks]
-            key = [(deg[v], sum(deg[u] for u in _bits(a))) for v, a in enumerate(masks)]
-            if key[m] < max(key):
-                continue
+            top = s.bit_count()
             code, order, ties, twin = _canonical_search(masks)
-            u = next(v for v in reversed(order) if key[v] == key[m])
+            u = next(v for v in reversed(order) if masks[v].bit_count() == top)
             if u == m or 1 << u in _orbit(1 << m, _generators(order, ties, twin)):
                 sigma = [order.index(v) + 1 for v in range(n)]
                 edges = [(sigma[v], sigma[w])

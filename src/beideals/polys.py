@@ -121,10 +121,15 @@ class PolyContext:
         return (a & mask) | (b & ~mask)
 
     def x(self, i: int) -> "Polynomial":
-        return self.variable(self.var_index(f"x{i}"))
+        return self.variable(self._subscript(i) - 1)
 
     def y(self, i: int) -> "Polynomial":
-        return self.variable(self.var_index(f"y{i}"))
+        return self.variable(self.n + self._subscript(i) - 1)
+
+    def _subscript(self, i: int) -> int:
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise ValueError(f"variable subscript {i} out of range for n={self.n}")
+        return i
 
     def variable(self, idx: int) -> "Polynomial":
         return Polynomial(self, {1 << self.shift(idx): self.field.one})
@@ -155,13 +160,11 @@ class Polynomial:
 
     def __init__(self, ctx: PolyContext, terms: dict):
         field = ctx.field
-        top = 1 << (FIELD_BITS * ctx.nvars)
         clean = {}
         for m, c in terms.items():
             c = field.coerce(c) if not _is_native(field, c) else c
             if c != 0:
-                if type(m) is not int or not 0 <= m < top or m & ctx.guard:
-                    raise ValueError("monomial key does not belong to the ring")
+                _check_key(ctx, m)
                 clean[m] = c
         self._set(ctx, clean)
 
@@ -255,7 +258,8 @@ class Polynomial:
         return Polynomial._from_sums(self.ctx, {m: v * c for m, v in self.terms.items()})
 
     def times_term(self, m: Monomial, c) -> "Polynomial":
-        """Multiply by the single term c * x^m."""
+        """Multiply by the single term c * x^m; m must be a key of the ring."""
+        _check_key(self.ctx, m)
         c = self.ctx.field.coerce(c)
         out = {key + m: v * c for key, v in self.terms.items()}
         _check_exponents(self.ctx, out)
@@ -288,6 +292,12 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _check_key(ctx: PolyContext, m) -> None:
+    """A key of the ring is an int below 2^(16 * 2n) with no guard bit set."""
+    if type(m) is not int or m < 0 or m >> FIELD_BITS * ctx.nvars or m & ctx.guard:
+        raise ValueError("monomial key does not belong to the ring")
 
 
 def _is_native(field, c) -> bool:

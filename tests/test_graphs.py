@@ -645,9 +645,10 @@ def test_enumeration_limit():
 
 
 def test_augmentation_rejects_children_before_canonical_form(monkeypatch):
-    # children whose new vertex lacks the largest (degree, neighbour degree
-    # sum) key are dropped without a canonical search; every parent gets
-    # one search, for the generators of its automorphism group
+    # children whose new vertex would lack the largest degree are never
+    # built, since _new_neighbourhoods does not offer them; every child
+    # built gets one canonical search, and every parent one more, for the
+    # generators of its automorphism group
     calls = collections.Counter()
 
     def counting(masks):
@@ -658,9 +659,9 @@ def test_augmentation_rejects_children_before_canonical_form(monkeypatch):
     monkeypatch.setattr(beideals.graphs, "_canonical_search", counting)
     _all_graphs_up_to_iso.cache_clear()
     assert len(_all_graphs_up_to_iso(7)) == 1044
-    # 210 children and the 208 parents on at most 6 vertices
-    assert sum(calls[n] for n in range(1, 7)) == 418
-    assert calls[7] == 1096
+    # 238 children and the 208 parents on at most 6 vertices
+    assert sum(calls[n] for n in range(1, 7)) == 446
+    assert calls[7] == 1401
 
 
 # the set- and dict-based graph layer, kept as oracles ---------------------

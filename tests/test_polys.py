@@ -266,6 +266,18 @@ def test_times_term():
     f = ctx.x(1) * ctx.y(2) - ctx.x(2) * ctx.y(1)
     m = ctx.monomial(x2=1)
     assert f.times_term(m, Fraction(2)) == (ctx.x(2) * f).scale(Fraction(2))
+    x1 = PolyContext(1, QQ).x(1)
+    for key in (1 << 32, -(1 << 16)):  # above the ring's fields; negative
+        with pytest.raises(ValueError):
+            x1.times_term(key, 1)
+
+
+def test_variable_subscripts_out_of_range():
+    ctx = PolyContext(3, QQ)
+    assert ctx.x(3) == parse_poly(ctx, "x3") and ctx.y(1) == parse_poly(ctx, "y1")
+    for make, i in ((ctx.x, 0), (ctx.y, 4), (ctx.x, 4), (ctx.y, 0)):
+        with pytest.raises(ValueError):
+            make(i)
 
 
 def test_mixed_context_rejected():
