@@ -10,19 +10,21 @@ support mask, for the basis and for the initial ideal alike.
 
 The Frobenius side: in characteristic p the product of the consecutive
 edge binomials, each raised to the (p-1)-st power, witnesses F-purity via
-the colon criterion (ideal^[p] : ideal) versus m^[p].
+the colon criterion (ideal^[p] : ideal) versus m^[p].  Over F_p the
+binomial coefficient C(p-1, a) is (-1)^a, so f_{k,k+1}^(p-1) is the sum
+of (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a over a = 0..p-1, every
+coefficient 1; ``_fedder_factors`` writes these keys down and the witness
+is their sum set, with no polynomial multiplication.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .fields import GF, QQ
 from .graphs import Graph, _admissible_paths, _bits, is_closed_with_labeling, is_connected
-from .groebner import IdealBasis, frobenius_power, normal_form, not_in_bracket_m
-from .polys import Polynomial, PolyContext
+from .groebner import IdealBasis, _divide, frobenius_power, not_in_bracket_m
+from .polys import EXP_LIMIT, Polynomial, PolyContext, _check_exponents
 
 
 class NotClosedError(ValueError):
@@ -169,17 +171,44 @@ def pair_power_product(ctx: PolyContext, vertices, exponent: int) -> Polynomial:
     return out
 
 
+def _fedder_factors(ctx: PolyContext) -> tuple:
+    """(factors, witness) over F_p, p the characteristic of ``ctx``.
+
+    ``factors[k - 1]`` lists the p keys of f_{k,k+1}^(p-1), the key of
+    (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a for a = 0..p-1, each with
+    coefficient C(p-1, a) (-1)^a = 1 in F_p.  The witness is their product:
+    its terms are the sums of one key from each factor, all distinct,
+    since x_1's exponent p-1-a_1 fixes a_1, x_2's p-1-a_2+a_1 then fixes
+    a_2, and so on.  So it has p^(n-1) terms, every coefficient 1.  An
+    exponent reaches p - 1 for n = 2 and 2(p - 1) otherwise; where that is
+    2^15 or more, ValueError is raised before any term is built.
+    """
+    n, p, shift = ctx.n, ctx.field.char, ctx.shift
+    if (p - 1 if n == 2 else 2 * (p - 1)) >= EXP_LIMIT:
+        raise ValueError(f"the witness at p = {p} would give an exponent of 2^15 or more")
+    factors = []
+    for k in range(1, n):
+        lead = (1 << shift(k - 1)) + (1 << shift(n + k))  # x_k * y_{k+1}
+        trail = (1 << shift(k)) + (1 << shift(n + k - 1))  # x_{k+1} * y_k
+        factors.append([(p - 1 - a) * lead + a * trail for a in range(p)])
+    keys = [0]
+    for terms in factors:
+        keys = [m + t for m in keys for t in terms]
+    return factors, Polynomial._wrap(ctx, dict.fromkeys(keys, 1))
+
+
 def fedder_witness(g: Graph, p: int) -> Polynomial:
     """The splitting witness: product over v of f_{v, v+1}^(p-1).
 
-    Total degree is 2*(n-1)*(p-1) and the leading monomial is
-    x_1^(p-1)..x_{n-1}^(p-1) * y_2^(p-1)..y_n^(p-1), every exponent at most
-    p - 1, which keeps the witness outside m^[p].
+    It is written down from the closed form of ``_fedder_factors``: p^(n-1)
+    terms, each with coefficient 1.  Total degree is 2*(n-1)*(p-1) and the
+    leading monomial is x_1^(p-1)..x_{n-1}^(p-1) * y_2^(p-1)..y_n^(p-1),
+    every exponent at most p - 1, which keeps the witness outside m^[p].
+    Raises ValueError when an exponent would reach 2^15.
     """
     if g.n < 2:
         raise ValueError("witness needs at least two vertices")
-    ctx = PolyContext(g.n, GF(p))
-    return pair_power_product(ctx, range(1, g.n + 1), p - 1)
+    return _fedder_factors(PolyContext(g.n, GF(p)))[1]
 
 
 @dataclass(frozen=True)
@@ -236,15 +265,18 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     it maps S-polynomials to S-polynomials and standard representations to
     standard representations, and a power of a reduced basis stays reduced.
 
-    Each membership is decided by stepwise normal forms instead of one
-    division of witness * f_ij.  The witness is the product of the factors
-    F_k = f_{k,k+1}^(p-1); starting from r = f_ij, the loop sets
-    r = NF(r * F_k) one factor at a time and stops as soon as r is zero.
-    This is exact because a - NF(a) lies in I^[p], so
-    NF(a * b) = NF(NF(a) * b), and once r is zero every later product is
-    zero too.  For an edge {i, j} the interval factors k = i, ..., j - 1
-    come first: on every closed labeling with n <= 6 and p <= 5, r reaches
-    zero after exactly those j - i factors (observed, not proved).
+    The witness and its factors F_k = f_{k,k+1}^(p-1) come from the closed
+    form of ``_fedder_factors``.  Each membership is decided by stepwise
+    normal forms instead of one division of witness * f_ij: starting from
+    r = f_ij, the loop sets r = NF(r * F_k) one factor at a time and stops
+    as soon as r is zero.  This is exact because a - NF(a) lies in I^[p],
+    so NF(a * b) = NF(NF(a) * b), and once r is zero every later product
+    is zero too.  Each product r * F_k is written as r's terms shifted by
+    the p keys of F_k, all with coefficient 1, straight into the
+    division's pending terms, with no Polynomial in between.  For an edge
+    {i, j} the interval factors k = i, ..., j - 1 come first: on every
+    closed labeling with n <= 6 and p <= 5, r reaches zero after exactly
+    those j - i factors (observed, not proved).
     """
     if not is_connected(g):
         raise ValueError("the check needs a connected graph")
@@ -258,16 +290,23 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     ctx = PolyContext(g.n, GF(p))
     basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
     bracket_gb = frobenius_power(basis, p)
-    factors = [edge_binomial(ctx, k, k + 1) ** (p - 1) for k in range(1, g.n)]
-    witness = reduce(operator.mul, factors)
+    factors, witness = _fedder_factors(ctx)
+    table = bracket_gb.division_table
     memberships = {}
     for i, j in g.sorted_edges():
-        r = edge_binomial(ctx, i, j)
+        r = edge_binomial(ctx, i, j).terms
         for k in (*range(i, j), *range(1, i), *range(j, g.n)):
-            r = normal_form(r * factors[k - 1], bracket_gb)
-            if r.is_zero():
+            pending = {}
+            get = pending.get
+            for t in factors[k - 1]:
+                for m, c in r.items():
+                    key = m + t
+                    pending[key] = get(key, 0) + c
+            _check_exponents(ctx, pending)
+            r = _divide(ctx, pending, table)
+            if not r:
                 break
-        memberships[(i, j)] = r.is_zero()
+        memberships[(i, j)] = not r
     return FedderCertificate(
         n=g.n,
         p=p,

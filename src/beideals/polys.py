@@ -177,14 +177,21 @@ class Polynomial:
             clean = {m: r for m, c in sums.items() if (r := c % p)}
         else:
             clean = {m: c for m, c in sums.items() if c}
+        return cls._wrap(ctx, clean)
+
+    @classmethod
+    def _wrap(cls, ctx: PolyContext, clean: dict) -> "Polynomial":
+        """Wrap a dict of valid keys whose coefficients are already reduced
+        and nonzero, as it is."""
         out = object.__new__(cls)
         out._set(ctx, clean)
         return out
 
     def _set(self, ctx, clean):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lm", max(clean) if clean else None)
+        # the slot descriptors' own stores, past the refusing __setattr__
+        _set_ctx(self, ctx)
+        _set_terms(self, clean)
+        _set_lm(self, max(clean) if clean else None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -292,6 +299,9 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
+
+
+_set_ctx, _set_terms, _set_lm = (d.__set__ for d in (Polynomial.ctx, Polynomial.terms, Polynomial._lm))
 
 
 def _check_key(ctx: PolyContext, m) -> None:

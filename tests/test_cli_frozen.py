@@ -2,7 +2,9 @@
 
 The expected stdout and exit codes in ``cli_frozen.json`` were captured
 from the tuple-monomial implementation; the packed-integer port must print
-the same bytes.  ``python tests/test_cli_frozen.py`` rewrites the file from
+the same bytes.  The ``diamond`` entries were captured before the Fedder
+witness was written down from its closed form, which must not change them
+either.  ``python tests/test_cli_frozen.py`` rewrites the file from
 the current code, which is only right when an output change is intended.
 """
 
@@ -23,6 +25,8 @@ GRAPHS = {
     "p132": (3, [(1, 3), (2, 3)]),  # the path 1-3-2: its basis needs a cubic
     "p4": (4, [(1, 2), (2, 3), (3, 4)]),
     "c4": (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    # closed, not a path; the edges {1, 3} and {2, 4} span two witness factors
+    "diamond": (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
 }
 
 
@@ -34,6 +38,7 @@ def commands() -> list:
                 out.append(["gb", graph, "--field", field, *extra])
     out += [["fedder", "p4", str(p), "--json"] for p in (2, 3, 5)]
     out.append(["fedder", "c4", "2", "--force", "--json"])
+    out += [["fedder", "diamond", str(p), "--json"] for p in (3, 5)]
     out += [["plucker", "1", "2", "3", "4", "4"], ["plucker", "1", "2", "3", "5", "5", "--field", "f2"],
             ["plucker", "2", "3", "4", "5", "6", "--field", "fp:3"]]
     return out

@@ -26,12 +26,13 @@ from beideals import (
     frobenius_power,
     initial_ideal_generators,
     normal_form,
+    not_in_bracket_m,
     pair_power_product,
     path_monomial,
     plucker_relation,
     relabel,
 )
-from beideals.edgeideals import _initial_masks
+from beideals.edgeideals import _fedder_factors, _initial_masks
 from beideals.graphs import _all_graphs_up_to_iso
 from beideals.simplicial import support_masks
 from helpers import complete_graph, first_open_relabeling, path_graph
@@ -227,6 +228,36 @@ def test_p2_witness_at_three():
     assert format_poly(w) == "x1^2*y2^2 + x1*x2*y1*y2 + x2^2*y1^2"
 
 
+def test_closed_form_witness_matches_product():
+    # the closed form of f^(p-1) over F_p against polynomial multiplication
+    cases = 0
+    for p, n_max in ((2, 7), (3, 7), (5, 6), (7, 5)):
+        for n in range(2, n_max + 1):
+            ctx = PolyContext(n, GF(p))
+            factors, witness = _fedder_factors(ctx)
+            for k, keys in enumerate(factors, start=1):
+                assert dict.fromkeys(keys, 1) == (edge_binomial(ctx, k, k + 1) ** (p - 1)).terms
+            assert witness == pair_power_product(ctx, range(1, n + 1), p - 1), (n, p)
+            assert len(witness.terms) == p ** (n - 1)
+            assert set(witness.terms.values()) == {1}
+            assert not_in_bracket_m(witness, p)
+            assert fedder_witness(path_graph(n), p) == witness
+            cases += 1
+    assert cases == 6 + 6 + 5 + 4
+
+
+def test_witness_refuses_exponents_past_the_field_width():
+    # 32771 is the smallest prime with p - 1 >= 2^15: refused before any term
+    with pytest.raises(ValueError, match="2\\^15"):
+        fedder_witness(Graph(2, [(1, 2)]), 32771)
+    # 32749, the largest prime below it, still fits when n = 2
+    assert len(fedder_witness(Graph(2, [(1, 2)]), 32749).terms) == 32749
+    # from n = 3 on an inner exponent reaches 2(p - 1); 16411 is the smallest
+    # prime with 2(p - 1) >= 2^15
+    with pytest.raises(ValueError, match="2\\^15"):
+        fedder_witness(path_graph(3), 16411)
+
+
 def test_fedder_certificates_on_paths():
     for n, p in itertools.product(range(2, 6), (2, 3, 5)):
         cert = fedder_check(path_graph(n), p)
@@ -263,10 +294,12 @@ def bracket_basis(h, p):
 
 
 def full_product_memberships(h, p):
-    """Oracle: divide witness * f_ij by the bracket basis in one pass."""
+    """Oracle: the witness multiplied out by ``pair_power_product``, and
+    for each edge whether dividing witness * f_ij by the bracket basis in
+    one pass leaves zero."""
     ctx, bracket_gb = bracket_basis(h, p)
-    witness = fedder_witness(h, p)
-    return {
+    witness = pair_power_product(ctx, range(1, h.n + 1), p - 1)
+    return witness, {
         (i, j): normal_form(witness * edge_binomial(ctx, i, j), bracket_gb).is_zero()
         for i, j in h.sorted_edges()
     }
@@ -292,8 +325,9 @@ def test_stepwise_memberships_match_full_product():
         for h in hs:
             for p in (2, 3, 5):
                 cert = fedder_check(h, p, force=force)
-                assert cert.witness == fedder_witness(h, p)
-                assert cert.edge_memberships == full_product_memberships(h, p), (h.edges, p)
+                witness, memberships = full_product_memberships(h, p)
+                assert cert.witness == witness
+                assert cert.edge_memberships == memberships, (h.edges, p)
                 outcomes.update(cert.edge_memberships.values())
     assert outcomes == {True, False}
 
