@@ -181,14 +181,9 @@ def cmd_fedder(args) -> int:
         i, j = entry["edge"]
         text.append(f"edge ({i},{j}): witness*f in bracket power: {'yes' if entry['in_colon'] else 'no'}")
     text.append(f"certificate valid: {'yes' if cert.valid else 'no'}")
-    out = json.dumps(payload, indent=2)
     if args.out:
-        _write(pathlib.Path(args.out), out + "\n")
-    if args.json:
-        print(out)
-    else:
-        for line in text:
-            print(line)
+        _write(pathlib.Path(args.out), json.dumps(payload, indent=2) + "\n")
+    _emit(payload, args.json, text)
     return EXIT_OK if cert.valid else EXIT_VIOLATION
 
 

@@ -37,11 +37,10 @@ def edge_binomial(ctx: PolyContext, i: int, j: int) -> Polynomial:
         raise ValueError(f"edge binomial needs distinct endpoints, got ({i}, {j})")
     if not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
         raise ValueError(f"endpoints ({i}, {j}) out of range for n={ctx.n}")
-    one = ctx.field.one
     n, shift = ctx.n, ctx.shift
     pos = (1 << shift(i - 1)) + (1 << shift(n + j - 1))  # x_i * y_j
     neg = (1 << shift(j - 1)) + (1 << shift(n + i - 1))  # x_j * y_i
-    return Polynomial._from_sums(ctx, {pos: one, neg: ctx.field.neg(one)})
+    return Polynomial._from_sums(ctx, {pos: 1, neg: -1})
 
 
 def edge_ideal_generators(ctx: PolyContext, g: Graph) -> IdealBasis:

@@ -7,12 +7,12 @@ coefficients of binomial edge ideals stay in int arithmetic.  Arithmetic
 on Fractions may leave a whole number as a Fraction; that is harmless,
 since ``Fraction(k) == k`` and the two hash and print alike.
 
-A field object gives coercion, inverses and the characteristic.  The hot
-loops of ``polys``, ``groebner`` and ``simplicial`` do not go through it:
-they read ``char`` and use Python's own operators on ints (and Fractions
-over QQ), reducing mod p where p > 0, and call the field at most to
-coerce or invert.  Groebner bases, normal forms and homology ranks are
-exact in either characteristic.
+A field object is exactly ``char``, ``coerce`` and ``inv``, with equality,
+hash and repr.  Field arithmetic is Python's own operators on ints (and
+Fractions over QQ) followed by ``coerce``, which over F_p reduces mod p;
+the hot loops of ``polys``, ``groebner`` and ``simplicial`` read ``char``
+and reduce mod p themselves.  Groebner bases, normal forms and homology
+ranks are exact in either characteristic.
 """
 
 from __future__ import annotations
@@ -45,32 +45,12 @@ class RationalField:
         value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 1 or a == -1:
             return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.coerce(1 / Fraction(a))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -101,26 +81,11 @@ class PrimeField:
             return value.numerator * self.inv(value.denominator % self.char) % self.char
         return int(value) % self.char
 
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) % self.char
-
-    def neg(self, a):
-        return -a % self.char
-
     def inv(self, a):
         a %= self.char
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.char - 2, self.char)
-
-    zero = 0
-    one = 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.char == self.char

@@ -340,7 +340,8 @@ def frobenius_power(basis: IdealBasis, q: int) -> IdealBasis:
     q-th power is the e-fold Frobenius, so g^q is computed termwise
     (coefficients in F_p are fixed by x -> x^p): a packed key times q is
     the key of the q-th power as long as every exponent is at most
-    (2^15 - 1) // q.
+    (2^15 - 1) // q.  Once that is checked the powers are wrapped as they
+    are: their keys are in the ring and their coefficients already reduced.
     """
     if not basis.polys:
         raise ValueError("bracket power of an empty basis")
@@ -349,7 +350,7 @@ def frobenius_power(basis: IdealBasis, q: int) -> IdealBasis:
     fits = _exponents_at_most(ctx, EXP_MASK // q)
     if not all(fits(m) for g in basis.polys for m in g.terms):
         raise ValueError(f"the {q}-th power would give an exponent of 2^15 or more")
-    return IdealBasis(Polynomial(ctx, {m * q: c for m, c in g.terms.items()}) for g in basis.polys)
+    return IdealBasis(Polynomial._wrap(ctx, {m * q: c for m, c in g.terms.items()}) for g in basis.polys)
 
 
 def not_in_bracket_m(f: Polynomial, q: int) -> bool:

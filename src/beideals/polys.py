@@ -132,13 +132,13 @@ class PolyContext:
         return i
 
     def variable(self, idx: int) -> "Polynomial":
-        return Polynomial(self, {1 << self.shift(idx): self.field.one})
+        return Polynomial(self, {1 << self.shift(idx): 1})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {0: self.field.one})
+        return Polynomial(self, {0: 1})
 
 
 def _check_exponents(ctx: PolyContext, keys) -> None:
@@ -354,91 +354,42 @@ def format_poly(f: Polynomial) -> str:
     return " ".join(chunks)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[xy]\d+)|(?P<op>[*^]))")
+_FACTOR = r"(?:\d+(?:/\d+)?|[xy]\d+(?:\s*\^\s*\d+)?)"
+_TERM = re.compile(rf"(\s*[+-][\s+-]*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)")
+_PIECE = re.compile(r"[\s*]*(?:(\d+)(?:/(\d+))?|([xy]\d+)(?:\s*\^\s*(\d+))?)")
+_TEXT = re.compile(rf"((?:{_TERM.pattern})+)\s*")
 
 
 def parse_poly(ctx: PolyContext, text: str) -> Polynomial:
     """Parse the textual polynomial format; inverse of format_poly.
 
-    Accepts optional whitespace, signed terms, rational coefficients a/b,
-    ``*`` between factors and ``^`` for powers.  Raises ValueError on any
-    token it does not understand.
+    The grammar; whitespace may stand between tokens, but not inside a
+    rational ``a/b`` or a variable name::
+
+        text   := sign* term (sign+ term)*
+        term   := factor ("*" factor)*
+        factor := digits ("/" digits)? | ("x" | "y") digits ("^" digits)?
+
+    Each "-" in the signs before a term negates it.  Coefficients may stand
+    anywhere among the factors and multiply, a repeated variable adds its
+    exponents, and like terms add.  The whole text is matched before any of
+    it is evaluated: text outside the grammar raises ValueError, and so do
+    a variable outside the ring and an exponent of 2^15 or more.  Only
+    well-formed text raises ZeroDivisionError: for a zero denominator, or
+    over F_p for a nonzero coefficient whose denominator p divides.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot parse polynomial near {rest[:20]!r}")
-        tokens.append(m)
-        pos = m.end()
-
+    text = "+" + text  # the first term's sign is implied
+    whole = _TEXT.fullmatch(text)
+    if not whole:
+        raise ValueError(f"cannot parse polynomial text {text[1:41]!r}")
     terms: dict = {}
-    field = ctx.field
-    i = 0
-
-    def coeff_value(tok) -> Fraction:
-        if "/" in tok:
-            a, b = tok.split("/")
-            return Fraction(int(a), int(b))
-        return Fraction(int(tok))
-
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    if len(tokens) == 1 and tokens[0].group("num") == "0":
-        return ctx.zero()
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i].group("sign"):
-            if tokens[i].group("sign") == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ValueError("dangling sign in polynomial text")
-        coeff = Fraction(sign)
-        exps = [0] * ctx.nvars
-        expect_factor = True
-        saw_factor = False
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok.group("sign"):
-                break
-            if tok.group("op") == "*":
-                if expect_factor:
-                    raise ValueError("misplaced '*' in polynomial text")
-                expect_factor = True
-                i += 1
-                continue
-            if tok.group("op") == "^":
-                raise ValueError("misplaced '^' in polynomial text")
-            if not expect_factor:
-                raise ValueError(f"missing '*' before {tok.group(0).strip()!r}")
-            if tok.group("num"):
-                coeff *= coeff_value(tok.group("num"))
-                i += 1
+    for signs, body in _TERM.findall(text, 0, whole.end(1)):
+        coeff, exps = Fraction((-1) ** signs.count("-")), [0] * ctx.nvars
+        for num, den, var, e in _PIECE.findall(body):
+            if num:
+                coeff *= Fraction(int(num), int(den or 1))
             else:
-                idx = ctx.var_index(tok.group("var"))
-                i += 1
-                e = 1
-                if i < len(tokens) and tokens[i].group("op") == "^":
-                    i += 1
-                    if i >= len(tokens) or not tokens[i].group("num") or "/" in tokens[i].group("num"):
-                        raise ValueError("'^' must be followed by an integer")
-                    e = int(tokens[i].group("num"))
-                    i += 1
-                exps[idx] += e
-            expect_factor = False
-            saw_factor = True
-        if expect_factor and saw_factor:
-            raise ValueError("term ends with '*'")
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
+                exps[ctx.var_index(var)] += int(e or 1)
         key = ctx.monomial(**{ctx.var_name(k): e for k, e in enumerate(exps) if e})
-        prev = terms.get(key, Fraction(0))
-        terms[key] = prev + coeff
-
-    return Polynomial(ctx, {m: field.coerce(c) for m, c in terms.items() if c != 0})
+        terms[key] = terms.get(key, 0) + coeff
+    return Polynomial(ctx, {m: ctx.field.coerce(c) for m, c in terms.items() if c})

@@ -3,7 +3,8 @@
 Everything here follows the definitions with no shortcuts: every subset of
 the full variable set is restricted, the whole chain complex of each
 restriction is assembled as dense matrices, and ranks come from a plain
-Gaussian elimination written against the field interface.  Deliberately
+Gaussian elimination that does its own arithmetic with Python's operators
+and reduces every result through the field's ``coerce``.  Deliberately
 slow; keep inputs at eight variables or fewer.
 """
 
@@ -17,22 +18,23 @@ def dense_rank(matrix, fld):
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
+    coerce = fld.coerce
     rank = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):
-            if rows[r][col] != fld.zero:
+            if rows[r][col] != 0:
                 pivot = r
                 break
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = fld.inv(rows[rank][col])
-        rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
+        rows[rank] = [coerce(inv * v) if v else 0 for v in rows[rank]]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col] != fld.zero:
+            if rows[r][col] != 0:
                 c = rows[r][col]
-                rows[r] = [fld.sub(v, fld.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
+                rows[r] = [coerce(v - coerce(c * w)) if w else v for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -67,10 +69,9 @@ def reduced_homology_ranks(faces, fld):
         below = {f: k for k, f in enumerate(ordered[d - 1])}
         rows = []
         for face in ordered[d]:
-            row = [fld.zero] * len(below)
+            row = [0] * len(below)
             for s, v in enumerate(sorted(face)):
-                sign = fld.one if s % 2 == 0 else fld.neg(fld.one)
-                row[below[frozenset(face - {v})]] = sign
+                row[below[frozenset(face - {v})]] = fld.coerce((-1) ** s)
             rows.append(row)
         boundary_rank[d] = dense_rank(rows, fld)
 

@@ -56,7 +56,7 @@ def scan_homology_ranks(faces, fld):
         index = {f: t for t, f in enumerate(by_dim.get(d - 1, []))}
         dense = []
         for row in boundary_rows(index, by_dim.get(d, [])):
-            entries = [fld.zero] * len(index)
+            entries = [0] * len(index)
             for t, sign in row.items():
                 entries[t] = fld.coerce(sign)
             dense.append(entries)

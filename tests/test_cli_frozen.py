@@ -4,7 +4,8 @@ The expected stdout and exit codes in ``cli_frozen.json`` were captured
 from the tuple-monomial implementation; the packed-integer port must print
 the same bytes.  The ``diamond`` entries were captured before the Fedder
 witness was written down from its closed form, which must not change them
-either.  ``python tests/test_cli_frozen.py`` rewrites the file from
+either, and the two ``fedder`` text entries before ``cmd_fedder`` printed
+through ``_emit``.  ``python tests/test_cli_frozen.py`` rewrites the file from
 the current code, which is only right when an output change is intended.
 """
 
@@ -39,6 +40,7 @@ def commands() -> list:
     out += [["fedder", "p4", str(p), "--json"] for p in (2, 3, 5)]
     out.append(["fedder", "c4", "2", "--force", "--json"])
     out += [["fedder", "diamond", str(p), "--json"] for p in (3, 5)]
+    out += [["fedder", "p4", "3"], ["fedder", "c4", "2", "--force"]]
     out += [["plucker", "1", "2", "3", "4", "4"], ["plucker", "1", "2", "3", "5", "5", "--field", "f2"],
             ["plucker", "2", "3", "4", "5", "6", "--field", "fp:3"]]
     return out

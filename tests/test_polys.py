@@ -39,14 +39,15 @@ def test_gf_rejects_composites():
 
 def test_prime_field_arithmetic_table():
     f7 = GF(7)
-    for a in range(7):
+    for a in range(-14, 15):
+        assert f7.coerce(a) == a % 7
         for c in range(7):
-            assert f7.add(a, c) == (a + c) % 7
-            assert f7.mul(a, c) == (a * c) % 7
-        if a:
-            assert f7.mul(a, f7.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
+            assert f7.coerce(a * c) == (a % 7) * c % 7
+        if a % 7:
+            assert f7.coerce(a * f7.inv(a)) == 1
+    for a in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            f7.inv(a)
 
 
 def test_prime_field_coerces_fractions():
@@ -66,7 +67,7 @@ def test_rational_field_exactness():
 
 def test_rational_field_keeps_whole_numbers_as_ints():
     for whole in (QQ.coerce(7), QQ.coerce(Fraction(4, 2)), QQ.inv(-1), QQ.inv(Fraction(1)),
-                  QQ.inv(Fraction(1, 2)), QQ.zero, QQ.one):
+                  QQ.inv(Fraction(1, 2))):
         assert type(whole) is int
     assert QQ.inv(-1) == -1
     assert QQ.inv(2) == Fraction(1, 2)
@@ -80,6 +81,11 @@ def test_field_equality_and_hash():
     assert GF(3) != GF(5)
     assert QQ == type(QQ)()
     assert hash(GF(3)) == hash(GF(3))
+
+
+def test_field_contract_is_char_coerce_inv():
+    for fld in (QQ, GF(2), GF(5)):
+        assert {name for name in dir(fld) if not name.startswith("_")} == {"char", "coerce", "inv"}
 
 
 # monomials and order --------------------------------------------------
@@ -330,9 +336,66 @@ def test_parse_round_trip_random():
 
 def test_parse_rejects_malformed():
     ctx = PolyContext(2, QQ)
-    for text in ["x0", "x3", "z1", "x1 +", "x1^", "^2", "* x1", "x1*", "x1 x2", ""]:
+    for text in ["x0", "x3", "z1", "x1 +", "x1^", "^2", "* x1", "x1*", "x1 x2", "",
+                 "x1^2^3", "2^3", "x1^-1", "x1^1/2", "x 1", "1 / 2", "x1**2", "x1 -"]:
         with pytest.raises(ValueError):
             parse_poly(ctx, text)
+
+
+def test_parse_zero_denominator_only_in_well_formed_text():
+    # the whole text is matched before any of it is evaluated
+    ctx = PolyContext(2, QQ)
+    for text in ["1/0 x2", "1/0*", "x1 + 2/0^2"]:
+        with pytest.raises(ValueError):
+            parse_poly(ctx, text)
+    for text in ["1/0", "x1 - 3/0"]:
+        with pytest.raises(ZeroDivisionError):
+            parse_poly(ctx, text)
+
+
+def generated_text(ctx, rng):
+    """A random well-formed text and the polynomial it denotes, built by
+    Polynomial arithmetic: whitespace and tabs around every token, repeated
+    signs, coefficients anywhere among the factors, ``^0`` and repeated or
+    zero-padded variables."""
+    p = ctx.field.char
+
+    def ws():
+        return rng.choice(["", "", " ", "\t", " \t  "])
+
+    def coefficient():
+        num = rng.randrange(13)
+        den = rng.choice([d for d in range(1, 8) if not p or d % p])
+        return (str(num) if den == 1 else f"{num}/{den}"), ctx.one().scale(Fraction(num, den))
+
+    def variable():
+        letter, sub = rng.choice("xy"), rng.randrange(1, ctx.n + 1)
+        name, var = letter + "0" * rng.choice([0, 0, 1, 2]) + str(sub), getattr(ctx, letter)(sub)
+        if rng.random() < 0.5:
+            return name, var
+        e = rng.choice([0, 1, 2, 3])
+        return f"{name}{ws()}^{ws()}{'0' * rng.choice([0, 1])}{e}", var ** e
+
+    chunks, want = [], ctx.zero()
+    for k in range(rng.randint(1, 4)):
+        signs = [rng.choice("+-") for _ in range(rng.randint(0 if k == 0 else 1, 3))]
+        factors = [rng.choice([coefficient, variable, variable])() for _ in range(rng.randint(1, 5))]
+        chunks.append("".join(ws() + s for s in signs) + ws())
+        chunks.append((ws() + "*" + ws()).join(text for text, _ in factors))
+        term = ctx.one().scale((-1) ** signs.count("-"))
+        for _, f in factors:
+            term = term * f
+        want = want + term
+    return "".join(chunks) + ws(), want
+
+
+def test_parse_matches_arithmetic_on_generated_texts():
+    rng = random.Random(30)
+    for fld in (QQ, GF(2), GF(5)):
+        ctx = PolyContext(3, fld)
+        for _ in range(300):
+            text, want = generated_text(ctx, rng)
+            assert parse_poly(ctx, text) == want, text
 
 
 def test_parse_accepts_sign_prefixes():

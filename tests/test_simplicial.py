@@ -325,19 +325,20 @@ def test_euler_characteristic_consistency():
 # rank routines ---------------------------------------------------------------
 
 def naive_rank(rows, ncols, fld):
-    grid = [[fld.coerce(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    coerce = fld.coerce
+    grid = [[coerce(r.get(c, 0)) for c in range(ncols)] for r in rows]
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(grid)) if grid[r][col] != fld.zero), None)
+        piv = next((r for r in range(rank, len(grid)) if grid[r][col] != 0), None)
         if piv is None:
             continue
         grid[rank], grid[piv] = grid[piv], grid[rank]
         inv = fld.inv(grid[rank][col])
-        grid[rank] = [fld.mul(inv, v) for v in grid[rank]]
+        grid[rank] = [coerce(inv * v) if v else 0 for v in grid[rank]]
         for r in range(len(grid)):
-            if r != rank and grid[r][col] != fld.zero:
+            if r != rank and grid[r][col] != 0:
                 c0 = grid[r][col]
-                grid[r] = [fld.sub(a, fld.mul(c0, b)) for a, b in zip(grid[r], grid[rank])]
+                grid[r] = [coerce(a - coerce(c0 * b)) if b else a for a, b in zip(grid[r], grid[rank])]
         rank += 1
     return rank
 

@@ -87,17 +87,17 @@ class TuplePolynomial:
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
         c = self.lc()
-        if c == self.ctx.field.one:
+        if c == 1:
             return self
         inv = self.ctx.field.inv(c)
-        mul = self.ctx.field.mul
-        return TuplePolynomial(self.ctx, {m: mul(v, inv) for m, v in self.terms.items()})
+        coerce = self.ctx.field.coerce
+        return TuplePolynomial(self.ctx, {m: coerce(v * inv) for m, v in self.terms.items()})
 
     def __add__(self, other):
-        add = self.ctx.field.add
+        coerce = self.ctx.field.coerce
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = add(out.get(m, 0), c) if m in out else c
+            s = coerce(out[m] + c) if m in out else c
             if s != 0:
                 out[m] = s
             else:
@@ -108,12 +108,11 @@ class TuplePolynomial:
         return self + (-other)
 
     def __neg__(self):
-        neg = self.ctx.field.neg
-        return TuplePolynomial(self.ctx, {m: neg(c) for m, c in self.terms.items()})
+        coerce = self.ctx.field.coerce
+        return TuplePolynomial(self.ctx, {m: coerce(-c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        field = self.ctx.field
-        mul, add = field.mul, field.add
+        coerce = self.ctx.field.coerce
         out = {}
         small, big = self.terms, other.terms
         if len(small) > len(big):
@@ -122,24 +121,23 @@ class TuplePolynomial:
             for m2, c2 in big.items():
                 key = tuple(p + q for p, q in zip(m1, m2))
                 if key in out:
-                    s = add(out[key], mul(c1, c2))
+                    s = coerce(out[key] + coerce(c1 * c2))
                     if s != 0:
                         out[key] = s
                     else:
                         del out[key]
                 else:
-                    out[key] = mul(c1, c2)
+                    out[key] = coerce(c1 * c2)
         return TuplePolynomial(self.ctx, out)
 
     def times_term(self, m, c):
-        field = self.ctx.field
-        c = field.coerce(c)
+        coerce = self.ctx.field.coerce
+        c = coerce(c)
         if c == 0:
             return TuplePolynomial(self.ctx, {})
-        mul = field.mul
         return TuplePolynomial(
             self.ctx,
-            {tuple(p + q for p, q in zip(m, key)): mul(v, c) for key, v in self.terms.items()},
+            {tuple(p + q for p, q in zip(m, key)): coerce(v * c) for key, v in self.terms.items()},
         )
 
     def __eq__(self, other):
@@ -155,6 +153,7 @@ def divmod_basis(f, divisors):
     divisors = list(divisors)
     ctx = f.ctx
     fld = ctx.field
+    coerce = fld.coerce
     lead = [(b.lm(), fld.inv(b.lc()), b) for b in divisors]
 
     pending = dict(f.terms)
@@ -171,16 +170,17 @@ def divmod_basis(f, divisors):
         for idx, (lm_b, lc_inv, b) in enumerate(lead):
             if mono_divides(lm_b, m):
                 shift = mono_div(m, lm_b)
-                q = fld.mul(c, lc_inv)
+                q = coerce(c * lc_inv)
                 qd = quotients[idx]
-                qd[shift] = fld.add(qd.get(shift, fld.zero), q) if shift in qd else q
+                qd[shift] = coerce(qd[shift] + q) if shift in qd else q
+                minus_q = coerce(-q)
                 for mb, cb in b.terms.items():
                     if mb == lm_b:
                         continue
                     key = mono_mul(shift, mb)
-                    delta = fld.neg(fld.mul(q, cb))
+                    delta = coerce(minus_q * cb)
                     if key in pending:
-                        s = fld.add(pending[key], delta)
+                        s = coerce(pending[key] + delta)
                         if s != 0:
                             pending[key] = s
                         else:
