@@ -34,11 +34,8 @@ from .edgeideals import (
     edge_binomial,
     edge_ideal_generators,
     fedder_check,
-    fedder_witness,
     find_weight_vector,
     initial_ideal_generators,
-    pair_power_product,
-    path_monomial,
     plucker_relation,
 )
 from .fields import GF, QQ, PrimeField, RationalField
@@ -81,8 +78,7 @@ __all__ = [
     "graph_id", "rows_to_csv", "rows_to_json", "violations",
     "FedderCertificate", "GroebnerElement", "NotClosedError", "WeightVector",
     "admissible_groebner_basis", "edge_binomial", "edge_ideal_generators",
-    "fedder_check", "fedder_witness", "find_weight_vector", "initial_ideal_generators",
-    "pair_power_product", "path_monomial", "plucker_relation",
+    "fedder_check", "find_weight_vector", "initial_ideal_generators", "plucker_relation",
     "GF", "QQ", "PrimeField", "RationalField",
     "Graph", "LimitExceededError", "admissible_paths",
     "adjacency_code", "canonical_form", "enumerate_connected_graphs",

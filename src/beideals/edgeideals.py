@@ -52,11 +52,10 @@ def edge_ideal_generators(ctx: PolyContext, g: Graph) -> IdealBasis:
 
 @dataclass(frozen=True)
 class GroebnerElement:
-    """One reduced-basis element: the admissible path as a vertex tuple,
-    its monomial u, and u * f_ij."""
+    """One reduced-basis element: the admissible path (i, ..., j) as a
+    vertex tuple, and u * f_ij, with u read off the path's interior."""
 
     path: tuple
-    path_monomial: int
     poly: Polynomial
 
 
@@ -86,17 +85,13 @@ def _packed(ctx: PolyContext, support: int) -> int:
     return sum(1 << ctx.shift(v) for v in _bits(support))
 
 
-def path_monomial(ctx: PolyContext, path: tuple) -> int:
-    """u for the path, packed: x_k for interior k > j times y_k for interior k < i."""
-    return _packed(ctx, _u_support(path, ctx.n))
-
-
 def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     """The lex Groebner basis of the edge ideal, one element per admissible path.
 
     Elements come out sorted by (total degree, leading monomial); each is
-    monic with leading monomial u * x_i * y_j.  The two terms of f_ij come
-    from ``edge_binomial`` once per pair, and each path's u shifts them.
+    monic with leading monomial u * x_i * y_j, so it is a divisor as it
+    stands.  The two terms of f_ij come from ``edge_binomial`` once per
+    pair, and each path's u shifts them; for the edge {i, j} itself u = 1.
     """
     ctx = PolyContext(g.n, fld)
     elems = []
@@ -104,12 +99,9 @@ def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
         f = edge_binomial(ctx, i, j)
         (pos, one), (neg, minus_one) = f.terms.items()
         for path, support in paths:
-            if support:
-                u = _packed(ctx, support)
-                poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: minus_one})
-            else:  # the edge {i, j}: u = 1, and the element is f_ij
-                u, poly = 0, f
-            elems.append(GroebnerElement(path, u, poly))
+            u = _packed(ctx, support)
+            poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: minus_one}) if u else f
+            elems.append(GroebnerElement(path, poly))
     elems.sort(key=lambda e: (len(e.path), e.poly.lm()))  # the degree is len(path)
     return elems
 
@@ -151,25 +143,6 @@ def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polyno
     return f(i, j) * f(k, l) - f(i, k) * f(j, l) + f(i, l) * f(j, k)
 
 
-def pair_power_product(ctx: PolyContext, vertices, exponent: int) -> Polynomial:
-    """Product of f_{v_t, v_{t+1}} ** exponent over consecutive entries.
-
-    Uses the signed convention f_ba = -f_ab, so the sequence may run in
-    either direction through each pair.
-    """
-    seq = tuple(vertices)
-    if len(seq) < 2:
-        raise ValueError("need at least two vertices")
-    out = ctx.one()
-    for t in range(len(seq) - 1):
-        a, b = seq[t], seq[t + 1]
-        if a == b:
-            raise ValueError(f"repeated consecutive vertex {a}")
-        f = edge_binomial(ctx, a, b) if a < b else -edge_binomial(ctx, b, a)
-        out = out * f**exponent
-    return out
-
-
 def _fedder_factors(ctx: PolyContext) -> tuple:
     """(factors, witness) over F_p, p the characteristic of ``ctx``.
 
@@ -194,20 +167,6 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
     for terms in factors:
         keys = [m + t for m in keys for t in terms]
     return factors, Polynomial._wrap(ctx, dict.fromkeys(keys, 1))
-
-
-def fedder_witness(g: Graph, p: int) -> Polynomial:
-    """The splitting witness: product over v of f_{v, v+1}^(p-1).
-
-    It is written down from the closed form of ``_fedder_factors``: p^(n-1)
-    terms, each with coefficient 1.  Total degree is 2*(n-1)*(p-1) and the
-    leading monomial is x_1^(p-1)..x_{n-1}^(p-1) * y_2^(p-1)..y_n^(p-1),
-    every exponent at most p - 1, which keeps the witness outside m^[p].
-    Raises ValueError when an exponent would reach 2^15.
-    """
-    if g.n < 2:
-        raise ValueError("witness needs at least two vertices")
-    return _fedder_factors(PolyContext(g.n, GF(p)))[1]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The division algorithm processes the largest pending monomial first (via a
 heap), trying divisors in basis order, so normal forms are deterministic.
 Monomials are the packed ints of ``polys``, so the heap holds negated keys
 and a divisibility test is one subtraction masked with the guard bits.
-Divisors enter a division as rows of a table (leading monomial, inverse
-leading coefficient, negated tail), and the pending terms are a plain dict.
+Divisors enter a division made monic, as rows of a table (leading
+monomial, negated tail), and the pending terms are a plain dict.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
 on.  It skips the S-pairs that the Gebauer-Moeller criteria (J. Symbolic
@@ -69,18 +69,15 @@ class IdealBasis:
 
 
 def _division_table(divisors) -> list:
-    """(leading monomial, inverse leading coefficient, tail with negated
-    coefficients) for each divisor, in order."""
+    """(leading monomial, tail with negated coefficients) for each divisor
+    made monic, in order.  A monic multiple of a divisor leaves the same
+    remainder, and the divisors the package builds are monic already."""
     table = []
     for b in divisors:
+        b = b.monic()
         lm = b.lm()
-        table.append((lm, _inverse_lc(b), [(m, -c) for m, c in b.terms.items() if m != lm]))
+        table.append((lm, [(m, -c) for m, c in b.terms.items() if m != lm]))
     return table
-
-
-def _inverse_lc(f: Polynomial):
-    c = f.lc()
-    return c if c == 1 else f.ctx.field.inv(c)
 
 
 def _divide(ctx, pending: dict, table: list) -> dict:
@@ -88,7 +85,8 @@ def _divide(ctx, pending: dict, table: list) -> dict:
     divisors; ``pending`` (monomial -> coefficient) is used up.
 
     Terms are taken largest first and each goes to the first divisor whose
-    leading monomial divides it.  Coefficients are summed unreduced while
+    leading monomial divides it; the rows are monic, so the term's
+    coefficient is the quotient's.  Coefficients are summed unreduced while
     pending; a term is reduced mod p when it is taken, so a term that
     cancelled is skipped then.  Every term a step adds is below the term it
     removes, so no monomial is taken twice; a new term whose exponent would
@@ -108,23 +106,18 @@ def _divide(ctx, pending: dict, table: list) -> dict:
             c %= p
         if not c:
             continue
-        for lm_b, lc_inv, tail in table:
+        for lm_b, tail in table:
             shift = m - lm_b
             if shift & guard:
                 continue
-            q = c
-            if lc_inv != 1:
-                q = c * lc_inv
-                if p:
-                    q %= p
             for mb, neg_cb in tail:
                 key = shift + mb
                 if key in pending:
-                    pending[key] += q * neg_cb
+                    pending[key] += c * neg_cb
                 else:
                     if key & guard:
                         raise ValueError("an exponent would reach 2^15")
-                    pending[key] = q * neg_cb
+                    pending[key] = c * neg_cb
                     push(heap, -key)
             break
         else:
@@ -158,15 +151,15 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _s_pair(ctx, row_f, row_g, lcm) -> dict:
-    """Terms of the S-polynomial of two monic polynomials, given by their
-    ``_division_table`` rows and the lcm of their leading monomials.
+    """Terms of the S-polynomial of two polynomials made monic, given by
+    their ``_division_table`` rows and the lcm of their leading monomials.
 
     The leading terms cancel and are left out; the negated tails are
     shifted up to the lcm, f's with its sign flipped back.  A term whose
     exponent would reach 2^15 raises ValueError.
     """
-    lm_f, _, tail_f = row_f
-    lm_g, _, tail_g = row_g
+    lm_f, tail_f = row_f
+    lm_g, tail_g = row_g
     shift = lcm - lm_f
     out = {m + shift: -c for m, c in tail_f}
     get = out.get
@@ -185,7 +178,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
     ctx = f.ctx
-    row_f, row_g = _division_table([f.monic(), g.monic()])
+    row_f, row_g = _division_table([f, g])
     return Polynomial._from_sums(ctx, _s_pair(ctx, row_f, row_g, ctx.lcm(f.lm(), g.lm())))
 
 
@@ -199,12 +192,12 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
     so the basis found is still a Groebner basis, and the reduced basis
     made from it is the same: the reduced basis is unique for the ideal and
     the order.
-    Pairs are processed by (lcm degree, lcm, indices).  Every element is
-    monic, so an S-pair is written from the two division-table rows straight
-    into the division's pending terms (``_s_pair``), and only a nonzero
-    remainder becomes a ``Polynomial``.  The division table holds every
-    element found, including those the update takes out of pair generation,
-    so each divisor's leading data is set up once per run.
+    Pairs are processed by (lcm degree, lcm, indices).  An S-pair is
+    written from the two division-table rows straight into the division's
+    pending terms (``_s_pair``), and only a nonzero remainder becomes a
+    ``Polynomial``, made monic as every element is.  The division table
+    holds every element found, including those the update takes out of
+    pair generation, so each divisor's leading data is set up once per run.
     """
     work = [p.monic() for p in basis.polys]
     if not work:
@@ -281,7 +274,8 @@ def _update(ctx, leads, active, pairs, t) -> list:
 def _interreduce(polys) -> list:
     """Minimalize by leading-monomial divisibility, then reduce each
     element's tail, taken from one table of the minimal elements, against
-    that table; monic output.
+    that table; the table's rows are monic, so each output is its leading
+    monomial with coefficient 1 plus its reduced tail.
 
     An element's own leading monomial never divides a term met while its
     tail is reduced: every such term is lex-smaller than it.
@@ -301,10 +295,10 @@ def _interreduce(polys) -> list:
             leads.append(lm)
     table = _division_table(minimal)
     reduced = []
-    for p, (lm, _, tail) in zip(minimal, table):
+    for lm, tail in table:
         rest = _divide(ctx, {m: -c for m, c in tail}, table)
-        rest[lm] = p.terms[lm]
-        reduced.append(Polynomial._from_sums(ctx, rest).monic())
+        rest[lm] = 1
+        reduced.append(Polynomial._from_sums(ctx, rest))
     return reduced
 
 

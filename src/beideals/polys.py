@@ -81,7 +81,7 @@ class PolyContext:
         return f"x{idx + 1}" if idx < self.n else f"y{idx - self.n + 1}"
 
     def var_index(self, name: str) -> int:
-        m = re.fullmatch(r"([xy])(\d+)", name)
+        m = re.fullmatch(r"([xy])([0-9]+)", name)
         if not m:
             raise ValueError(f"bad variable name {name!r}")
         sub = int(m.group(2))
@@ -264,14 +264,6 @@ class Polynomial:
         c = self.ctx.field.coerce(c)
         return Polynomial._from_sums(self.ctx, {m: v * c for m, v in self.terms.items()})
 
-    def times_term(self, m: Monomial, c) -> "Polynomial":
-        """Multiply by the single term c * x^m; m must be a key of the ring."""
-        _check_key(self.ctx, m)
-        c = self.ctx.field.coerce(c)
-        out = {key + m: v * c for key, v in self.terms.items()}
-        _check_exponents(self.ctx, out)
-        return Polynomial._from_sums(self.ctx, out)
-
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -354,17 +346,17 @@ def format_poly(f: Polynomial) -> str:
     return " ".join(chunks)
 
 
-_FACTOR = r"(?:\d+(?:/\d+)?|[xy]\d+(?:\s*\^\s*\d+)?)"
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|[xy][0-9]+(?:\s*\^\s*[0-9]+)?)"
 _TERM = re.compile(rf"(\s*[+-][\s+-]*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)")
-_PIECE = re.compile(r"[\s*]*(?:(\d+)(?:/(\d+))?|([xy]\d+)(?:\s*\^\s*(\d+))?)")
+_PIECE = re.compile(r"[\s*]*(?:([0-9]+)(?:/([0-9]+))?|([xy][0-9]+)(?:\s*\^\s*([0-9]+))?)")
 _TEXT = re.compile(rf"((?:{_TERM.pattern})+)\s*")
 
 
 def parse_poly(ctx: PolyContext, text: str) -> Polynomial:
     """Parse the textual polynomial format; inverse of format_poly.
 
-    The grammar; whitespace may stand between tokens, but not inside a
-    rational ``a/b`` or a variable name::
+    The grammar, with digits the ASCII 0-9 only; whitespace may stand
+    between tokens, but not inside a rational ``a/b`` or a variable name::
 
         text   := sign* term (sign+ term)*
         term   := factor ("*" factor)*

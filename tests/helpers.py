@@ -1,10 +1,12 @@
-"""Graph builders and labelings shared by the test files, and the
-by-size face listings of restrictions that the homology tests compare
-against."""
+"""Graph builders and labelings shared by the test files, the by-size
+face listings of restrictions that the homology tests compare against,
+and the product of edge-binomial powers that the Fedder tests multiply
+out."""
 
 import itertools
 
-from beideals import Graph, find_closed_labeling, is_closed_with_labeling, relabel
+from beideals import Graph, PolyContext, Polynomial, edge_binomial, find_closed_labeling, \
+    is_closed_with_labeling, relabel
 from beideals.simplicial import _restriction, by_size
 
 
@@ -68,3 +70,22 @@ def star_quotient_levels(masks, sigma: int) -> list:
         v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
         faces &= ~(has[v] | faces >> (1 << v))
     return by_size(faces)
+
+
+def pair_power_product(ctx: PolyContext, vertices, exponent: int) -> Polynomial:
+    """Product of f_{v_t, v_{t+1}} ** exponent over consecutive entries.
+
+    Uses the signed convention f_ba = -f_ab, so the sequence may run in
+    either direction through each pair.
+    """
+    seq = tuple(vertices)
+    if len(seq) < 2:
+        raise ValueError("need at least two vertices")
+    out = ctx.one()
+    for t in range(len(seq) - 1):
+        a, b = seq[t], seq[t + 1]
+        if a == b:
+            raise ValueError(f"repeated consecutive vertex {a}")
+        f = edge_binomial(ctx, a, b) if a < b else -edge_binomial(ctx, b, a)
+        out = out * f**exponent
+    return out

@@ -1,12 +1,14 @@
-"""Byte-for-byte CLI output of `gb`, `fedder` and `plucker`.
+"""Byte-for-byte CLI output of `gb`, `fedder`, `weight`, `initial` and `plucker`.
 
 The expected stdout and exit codes in ``cli_frozen.json`` were captured
 from the tuple-monomial implementation; the packed-integer port must print
 the same bytes.  The ``diamond`` entries were captured before the Fedder
 witness was written down from its closed form, which must not change them
 either, and the two ``fedder`` text entries before ``cmd_fedder`` printed
-through ``_emit``.  ``python tests/test_cli_frozen.py`` rewrites the file from
-the current code, which is only right when an output change is intended.
+through ``_emit``.  The ``weight`` and ``initial`` entries were captured
+before the test-only helpers left the edge-ideal layer.
+``python tests/test_cli_frozen.py`` rewrites the file from the current
+code, which is only right when an output change is intended.
 """
 
 import contextlib
@@ -41,6 +43,7 @@ def commands() -> list:
     out.append(["fedder", "c4", "2", "--force", "--json"])
     out += [["fedder", "diamond", str(p), "--json"] for p in (3, 5)]
     out += [["fedder", "p4", "3"], ["fedder", "c4", "2", "--force"]]
+    out += [["weight", "p3"], ["weight", "p132", "--json"], ["initial", "p132"], ["initial", "p4", "--json"]]
     out += [["plucker", "1", "2", "3", "4", "4"], ["plucker", "1", "2", "3", "5", "5", "--field", "f2"],
             ["plucker", "2", "3", "4", "5", "6", "--field", "fp:3"]]
     return out

@@ -20,22 +20,21 @@ from beideals import (
     enumerate_connected_graphs,
     fedder_check,
     find_closed_labeling,
-    fedder_witness,
     find_weight_vector,
     format_poly,
     frobenius_power,
     initial_ideal_generators,
     normal_form,
     not_in_bracket_m,
-    pair_power_product,
-    path_monomial,
     plucker_relation,
     relabel,
 )
+from beideals import edgeideals
 from beideals.edgeideals import _fedder_factors, _initial_masks
 from beideals.graphs import _all_graphs_up_to_iso
+from beideals.polys import EXP_MASK
 from beideals.simplicial import support_masks
-from helpers import complete_graph, first_open_relabeling, path_graph
+from helpers import complete_graph, first_open_relabeling, pair_power_product, path_graph
 from test_groebner import is_groebner_basis
 from tuple_polys import mono_divides, mono_is_squarefree
 
@@ -76,13 +75,23 @@ def test_scrambled_path_needs_a_cubic():
     assert cubic[0].poly == ctx.x(3) * edge_binomial(ctx, 1, 2)
 
 
+def interior_monomial(ctx, path):
+    """u for the admissible path (i, ..., j), as a product of variables:
+    x_k for each interior vertex k > j, y_k for each interior k < i."""
+    i, j = path[0], path[-1]
+    u = ctx.one()
+    for k in path[1:-1]:
+        assert k > j or k < i, path  # admissibility leaves no other interior
+        u = u * (ctx.x(k) if k > j else ctx.y(k))
+    return u
+
+
 def test_elements_factor_as_monomial_times_binomial():
     for g in enumerate_connected_graphs(4):
         for e in admissible_groebner_basis(g):
             ctx = e.poly.ctx
-            u = ctx.one().times_term(e.path_monomial, 1)
+            u = interior_monomial(ctx, e.path)
             assert e.poly == u * edge_binomial(ctx, e.path[0], e.path[-1])
-            assert e.path_monomial == path_monomial(ctx, e.path)
 
 
 def basis_per_pair(g, fld):
@@ -93,9 +102,8 @@ def basis_per_pair(g, fld):
     for i, j in itertools.combinations(range(1, g.n + 1), 2):
         f_ij = edge_binomial(ctx, i, j)
         for path in admissible_paths(g, i, j):
-            u = path_monomial(ctx, path)
-            elems.append((path, u, f_ij.times_term(u, 1)))
-    elems.sort(key=lambda e: (e[2].degree(), e[2].lm()))
+            elems.append((path, interior_monomial(ctx, path) * f_ij))
+    elems.sort(key=lambda e: (e[1].degree(), e[1].lm()))
     return elems
 
 
@@ -105,12 +113,12 @@ def test_basis_and_initial_ideal_match_per_pair_construction():
             sigma = find_closed_labeling(g)
             for h in {g, relabel(g, sigma) if sigma else g}:
                 for fld in (QQ, GF(2), GF(3)):
-                    got = [(e.path, e.path_monomial, e.poly) for e in admissible_groebner_basis(h, fld)]
+                    got = [(e.path, e.poly) for e in admissible_groebner_basis(h, fld)]
                     want = basis_per_pair(h, fld)
                     assert got == want, (h, fld)
-                    assert [[type(c) for c in e[2].terms.values()] for e in got] == \
-                        [[type(c) for c in e[2].terms.values()] for e in want]
-                heads = [e[2].ctx.exponents(e[2].lm()) for e in want]
+                    assert [[type(c) for c in e[1].terms.values()] for e in got] == \
+                        [[type(c) for c in e[1].terms.values()] for e in want]
+                heads = [e[1].ctx.exponents(e[1].lm()) for e in want]
                 assert initial_ideal_generators(h) == heads
 
 
@@ -209,10 +217,14 @@ def test_pair_power_product_signs():
     assert pair_power_product(ctx, (1, 2), 2) == f12 ** 2
 
 
+def fedder_witness(n, p):
+    """The witness on n vertices at the prime p, from the closed form."""
+    return _fedder_factors(PolyContext(n, GF(p)))[1]
+
+
 def test_witness_degree_and_lead():
     for n, p in [(2, 3), (3, 2), (4, 2), (3, 5)]:
-        g = path_graph(n)
-        w = fedder_witness(g, p)
+        w = fedder_witness(n, p)
         assert w.degree() == 2 * (n - 1) * (p - 1)
         ctx = w.ctx
         lead = {}
@@ -224,7 +236,7 @@ def test_witness_degree_and_lead():
 
 
 def test_p2_witness_at_three():
-    w = fedder_witness(Graph(2, [(1, 2)]), 3)
+    w = fedder_witness(2, 3)
     assert format_poly(w) == "x1^2*y2^2 + x1*x2*y1*y2 + x2^2*y1^2"
 
 
@@ -241,7 +253,6 @@ def test_closed_form_witness_matches_product():
             assert len(witness.terms) == p ** (n - 1)
             assert set(witness.terms.values()) == {1}
             assert not_in_bracket_m(witness, p)
-            assert fedder_witness(path_graph(n), p) == witness
             cases += 1
     assert cases == 6 + 6 + 5 + 4
 
@@ -249,13 +260,29 @@ def test_closed_form_witness_matches_product():
 def test_witness_refuses_exponents_past_the_field_width():
     # 32771 is the smallest prime with p - 1 >= 2^15: refused before any term
     with pytest.raises(ValueError, match="2\\^15"):
-        fedder_witness(Graph(2, [(1, 2)]), 32771)
+        fedder_witness(2, 32771)
     # 32749, the largest prime below it, still fits when n = 2
-    assert len(fedder_witness(Graph(2, [(1, 2)]), 32749).terms) == 32749
+    assert len(fedder_witness(2, 32749).terms) == 32749
     # from n = 3 on an inner exponent reaches 2(p - 1); 16411 is the smallest
     # prime with 2(p - 1) >= 2^15
     with pytest.raises(ValueError, match="2\\^15"):
-        fedder_witness(path_graph(3), 16411)
+        fedder_witness(3, 16411)
+
+
+def test_stepwise_products_check_their_exponents(monkeypatch):
+    # each step's product r * F_k is written straight into the division, so
+    # fedder_check checks its keys itself: a factor key x_1^(2^15 - 1) times
+    # a term of f_12 with x_1 in it would carry into the guard bit
+    real = edgeideals._fedder_factors
+
+    def swapped(ctx):
+        factors, witness = real(ctx)
+        factors[0][0] = EXP_MASK << ctx.shift(0)
+        return factors, witness
+
+    monkeypatch.setattr(edgeideals, "_fedder_factors", swapped)
+    with pytest.raises(ValueError, match="2\\^15"):
+        fedder_check(path_graph(3), 3)
 
 
 def test_fedder_certificates_on_paths():

@@ -1,7 +1,9 @@
 """The package's public namespace and its runtime dependencies."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import pathlib
 import subprocess
@@ -45,12 +47,14 @@ def test_import_leaves_multiprocessing_unloaded():
     assert fresh_import(check) == "[]"
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def test_benchmark_imports_resolve():
     # the benchmark scripts import some names straight from the package's
     # modules, and no other test runs them; each such name must exist
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     checked = []
-    for script in sorted(perfbench.glob("*.py")):
+    for script in sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(script.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "beideals":
                 module = importlib.import_module(node.module)
@@ -58,3 +62,59 @@ def test_benchmark_imports_resolve():
                     assert hasattr(module, alias.name), (script.name, node.module, alias.name)
                     checked.append(alias.name)
     assert "restriction_faces" in checked
+    # they reach the rest as ``bd.<name>`` and ``bd.<module>.<name>``, and
+    # through local aliases such as ``classify = bd.classify``
+    chains = benchmark_attribute_chains()
+    assert {"adjacency_code", "classify.classify_graph", "edgeideals.fedder_check",
+            "groebner.buchberger", "graphs.admissible_paths"} <= chains
+
+
+def attribute_chain(node) -> list:
+    """["bd", "graphs", "relabel"] for ``bd.graphs.relabel``; [] when the
+    chain does not start at a plain name."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else []
+
+
+def benchmark_attribute_chains() -> set:
+    """Every attribute chain on the package in the workloads and the golden
+    script, resolved or failing an assertion, as dotted names below it.
+
+    ``bd`` names the package; a name a function binds to ``bd.<module>``,
+    alone or in a tuple assignment, names that module within the function.
+    """
+    checked = set()
+    for script in ("workloads.py", "golden.py"):
+        tree = ast.parse((ROOT / "perfbench" / script).read_text())
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            aliases = {"bd": []}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                    pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                             and isinstance(value, ast.Tuple) else [(target, value)])
+                    for name, chain in ((t, attribute_chain(v)) for t, v in pairs):
+                        if isinstance(name, ast.Name) and chain[:1] == ["bd"] and len(chain) == 2:
+                            aliases[name.id] = chain[1:]
+            for node in ast.walk(func):
+                chain = attribute_chain(node) if isinstance(node, ast.Attribute) else []
+                if chain and chain[0] in aliases:
+                    obj = beideals
+                    for attr in aliases[chain[0]] + chain[1:]:
+                        assert hasattr(obj, attr), (script, func.name, ".".join(chain))
+                        obj = getattr(obj, attr)
+                    checked.add(".".join(aliases[chain[0]] + chain[1:]))
+    return checked
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue() == "3\n"

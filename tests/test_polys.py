@@ -177,7 +177,10 @@ def test_exponent_overflow_raises():
     with pytest.raises(ValueError):
         big * y2
     with pytest.raises(ValueError):
-        big.times_term(ctx.monomial(x1=2**14), 1)
+        big * Polynomial(ctx, {ctx.monomial(x1=2**14): 1})
+    for key in (1 << 64, -(1 << 16)):  # above the ring's four fields; negative
+        with pytest.raises(ValueError):
+            Polynomial(ctx, {key: 1})
     assert (big * x1 ** (2**14 - 1)).lm() == ctx.monomial(x1=2**15 - 1, y2=2**15 - 1)
     with pytest.raises(ValueError):
         ctx.monomial(x1=2**15)
@@ -267,17 +270,6 @@ def test_mul_matches_tuple_reference():
             assert from_packed(f - g) == from_packed(f) - from_packed(g)
 
 
-def test_times_term():
-    ctx = PolyContext(2, QQ)
-    f = ctx.x(1) * ctx.y(2) - ctx.x(2) * ctx.y(1)
-    m = ctx.monomial(x2=1)
-    assert f.times_term(m, Fraction(2)) == (ctx.x(2) * f).scale(Fraction(2))
-    x1 = PolyContext(1, QQ).x(1)
-    for key in (1 << 32, -(1 << 16)):  # above the ring's fields; negative
-        with pytest.raises(ValueError):
-            x1.times_term(key, 1)
-
-
 def test_variable_subscripts_out_of_range():
     ctx = PolyContext(3, QQ)
     assert ctx.x(3) == parse_poly(ctx, "x3") and ctx.y(1) == parse_poly(ctx, "y1")
@@ -340,6 +332,18 @@ def test_parse_rejects_malformed():
                  "x1^2^3", "2^3", "x1^-1", "x1^1/2", "x 1", "1 / 2", "x1**2", "x1 -"]:
         with pytest.raises(ValueError):
             parse_poly(ctx, text)
+
+
+def test_parse_and_var_index_take_ascii_digits_only():
+    # str patterns' \d would also match the Arabic-Indic and fullwidth digits
+    ctx = PolyContext(2, QQ)
+    for text in ["\u0662*x1", "x\u0661 + y2", "y\uff12", "x1^\u0662", "1/\u0663", "\u0662*x\u0661 + y\uff12"]:
+        with pytest.raises(ValueError):
+            parse_poly(ctx, text)
+    for name in ["x\u0661", "y\uff12", "x1\u0661"]:
+        with pytest.raises(ValueError):
+            ctx.var_index(name)
+    assert parse_poly(ctx, "2*x1 + y2") == 2 * ctx.x(1) + ctx.y(2)
 
 
 def test_parse_zero_denominator_only_in_well_formed_text():
