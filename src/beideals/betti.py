@@ -56,14 +56,9 @@ are zero, and the ranks are their count in degree j - 1 over every field.
 Under classify's labelings that decides 3,734 of the 3,770 roots with
 n <= 6.  The rest go to elimination: ``root_ranks`` cuts from the same
 faces the closed star of the vertex in the most faces, a cone, and
-``homology_by_field`` ranks what remains.  The F_2 ranks come from XOR
-elimination on int bitset rows.  The QQ ranks are certified from F_2
-when that is proven: dim_Q H~_i <= dim_F2 H~_i for every i (universal
-coefficients) and the two Euler characteristics agree, so when the F_2
-homology is zero or sits in a single degree, the QQ homology equals it.
-Only when the F_2 homology is spread over two or more degrees do the QQ
-ranks come from the fraction-free ``matrix_rank`` on the same rows with
-signs, which odd F_p always uses.  Nothing is sampled.
+``homology_by_field`` ranks what remains: it builds the signed boundary
+rows once, and the fraction-free ``matrix_rank`` ranks them over each
+field on its own, QQ, F_2 and odd F_p alike.  Nothing is sampled.
 
 Every set operation costs O(2^k) bits, so the work grows with 2^k even when
 the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal

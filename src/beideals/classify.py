@@ -8,12 +8,11 @@ the bound checks:
     reg <= n - 1;  non-path implies reg <= n - 2;  dim >= n + 1;  fpt = 2.
 
 Betti data is computed over both QQ and F_2, in one pass that also gives
-the Krull dimension.  The QQ ranks of a restriction are read off F_2 only
-where universal coefficients prove them equal (F_2 homology in at most one
-degree) and come from exact elimination otherwise, so the
-``betti_fields_agree`` column can be false only through that exact
-fallback.  The tables agree at this scale, but the comparison is recorded,
-not assumed.
+the Krull dimension.  Where the acyclic matching decides a restriction its
+ranks hold over every field; elsewhere each field has its own exact
+elimination, so the ``betti_fields_agree`` column compares two independent
+computations at every such restriction.  The tables agree at this scale,
+but the comparison is recorded, not assumed.
 
 The initial ideal depends on the labeling, and so do the fpt and type
 columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do
@@ -203,8 +202,6 @@ def rows_to_csv(rows) -> str:
 def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, dict):
-        return ";".join(f"{k}={'true' if ok else 'false'}" for k, ok in sorted(v.items()))
     return v
 
 

@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import GF, QQ
-from .graphs import Graph, _admissible_paths, _bits, is_closed_with_labeling, is_connected
+from .graphs import (
+    Graph,
+    LimitExceededError,
+    _admissible_paths,
+    _bits,
+    is_closed_with_labeling,
+    is_connected,
+)
 from .groebner import IdealBasis, _divide, frobenius_power, not_in_bracket_m
 from .polys import EXP_LIMIT, Polynomial, PolyContext, _check_exponents
 
@@ -143,6 +150,10 @@ def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polyno
     return f(i, j) * f(k, l) - f(i, k) * f(j, l) + f(i, l) * f(j, k)
 
 
+# Most terms a Fedder witness may have: p^(n-1) reaches it at P_17 for p = 2.
+WITNESS_LIMIT = 1 << 16
+
+
 def _fedder_factors(ctx: PolyContext) -> tuple:
     """(factors, witness) over F_p, p the characteristic of ``ctx``.
 
@@ -153,11 +164,14 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
     since x_1's exponent p-1-a_1 fixes a_1, x_2's p-1-a_2+a_1 then fixes
     a_2, and so on.  So it has p^(n-1) terms, every coefficient 1.  An
     exponent reaches p - 1 for n = 2 and 2(p - 1) otherwise; where that is
-    2^15 or more, ValueError is raised before any term is built.
+    2^15 or more, ValueError is raised, and ``LimitExceededError`` where
+    p^(n-1) exceeds ``WITNESS_LIMIT``, both before any term is built.
     """
     n, p, shift = ctx.n, ctx.field.char, ctx.shift
     if (p - 1 if n == 2 else 2 * (p - 1)) >= EXP_LIMIT:
         raise ValueError(f"the witness at p = {p} would give an exponent of 2^15 or more")
+    if p ** (n - 1) > WITNESS_LIMIT:
+        raise LimitExceededError(f"the witness is capped at {WITNESS_LIMIT} terms, got {p}^{n - 1}")
     factors = []
     for k in range(1, n):
         lead = (1 << shift(k - 1)) + (1 << shift(n + k))  # x_k * y_{k+1}
@@ -224,17 +238,19 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     standard representations, and a power of a reduced basis stays reduced.
 
     The witness and its factors F_k = f_{k,k+1}^(p-1) come from the closed
-    form of ``_fedder_factors``.  Each membership is decided by stepwise
-    normal forms instead of one division of witness * f_ij: starting from
-    r = f_ij, the loop sets r = NF(r * F_k) one factor at a time and stops
-    as soon as r is zero.  This is exact because a - NF(a) lies in I^[p],
-    so NF(a * b) = NF(NF(a) * b), and once r is zero every later product
-    is zero too.  Each product r * F_k is written as r's terms shifted by
-    the p keys of F_k, all with coefficient 1, straight into the
-    division's pending terms, with no Polynomial in between.  For an edge
-    {i, j} the interval factors k = i, ..., j - 1 come first: on every
-    closed labeling with n <= 6 and p <= 5, r reaches zero after exactly
-    those j - i factors (observed, not proved).
+    form of ``_fedder_factors``, which raises ``LimitExceededError`` past
+    ``WITNESS_LIMIT`` terms before the basis is built.  Each membership is
+    decided by stepwise normal forms instead of one division of
+    witness * f_ij: starting from r = f_ij, the loop sets r = NF(r * F_k)
+    one factor at a time and stops as soon as r is zero.  This is exact
+    because a - NF(a) lies in I^[p], so NF(a * b) = NF(NF(a) * b), and once
+    r is zero every later product is zero too.  Each product r * F_k is
+    written as r's terms shifted by the p keys of F_k, all with
+    coefficient 1, straight into the division's pending terms, with no
+    Polynomial in between.  For an edge {i, j} the interval factors
+    k = i, ..., j - 1 come first: on every closed labeling with n <= 6 and
+    p <= 5, r reaches zero after exactly those j - i factors (observed, not
+    proved).
     """
     if not is_connected(g):
         raise ValueError("the check needs a connected graph")
@@ -246,9 +262,9 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
             "labeling is not closed; rerun with force to compute anyway"
         )
     ctx = PolyContext(g.n, GF(p))
+    factors, witness = _fedder_factors(ctx)
     basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
     bracket_gb = frobenius_power(basis, p)
-    factors, witness = _fedder_factors(ctx)
     table = bracket_gb.division_table
     memberships = {}
     for i, j in g.sorted_edges():

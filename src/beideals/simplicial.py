@@ -22,10 +22,10 @@ another, and one test decides the unmatched set R.  When R is empty the
 homology is zero; when R lies in ``LEVEL[j]``, j the size of its top cell,
 |R| is the only nonzero rank, in degree j - 1, over every field.
 Otherwise it falls back to elimination on the star quotient, cut from the
-same faces.  There boundary rows are built once per level, as int bitsets
-over the faces one size down.  F_2 ranks come from XOR elimination on
-those bitsets; QQ and odd F_p ranks from one fraction-free elimination,
-``matrix_rank``, on the same rows with the boundary's signs.
+same faces.  There the boundary rows are built once per level, as dicts
+from the faces one size down to the boundary's signs, and one
+fraction-free elimination, ``matrix_rank``, ranks them over each field:
+QQ, F_2 and odd F_p alike.
 """
 
 from __future__ import annotations
@@ -211,56 +211,26 @@ def matrix_rank(rows, fld) -> int:
     return len(pivots)
 
 
-def _rank_f2(rows) -> int:
-    """Rank over F_2 of rows given as int bitsets, by XOR elimination."""
-    pivots = {}
-    for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = r
-                break
-            r ^= p
-    return len(pivots)
-
-
 def _boundary_rows(levels) -> list:
     """rows[k]: the boundary map from k-vertex to (k-1)-vertex faces, one
-    int bitset per face: bit t is set when face t one size down is the face
-    minus a vertex.  Subfaces missing from the lower level are zero in the
-    quotient complex and are left out."""
+    dict per face: column t, the face f - v one size down, holds -1 to the
+    number of vertices of f below v.  Subfaces missing from the lower level
+    are zero in the quotient complex and are left out."""
     out, index = [], {}
     for faces in levels:
         rows = []
         for f in faces:
-            row = 0
+            row = {}
             m = f
             while m:
                 v = m & -m
                 t = index.get(f ^ v)
                 if t is not None:
-                    row |= 1 << t
+                    row[t] = -1 if (f & v - 1).bit_count() & 1 else 1
                 m ^= v
             rows.append(row)
         out.append(rows)
         index = {f: t for t, f in enumerate(faces)}
-    return out
-
-
-def _signed_rows(rows, faces, lower) -> list:
-    """Bitset boundary rows as dicts with the boundary's signs: bit t of
-    face f's row is the subface lower[t] = f - v, with sign -1 to the
-    number of vertices of f below v."""
-    out = []
-    for f, row in zip(faces, rows):
-        signed = {}
-        while row:
-            t = row.bit_length() - 1
-            v = f ^ lower[t]
-            signed[t] = -1 if (f & v - 1).bit_count() & 1 else 1
-            row ^= 1 << t
-        out.append(signed)
     return out
 
 
@@ -274,24 +244,8 @@ def homology_by_field(levels, fields) -> list:
 
     ``levels`` lists by size the faces that form a basis of a simplicial
     chain complex, possibly modulo a subcomplex whose faces are left out;
-    degree k - 1 comes from ``levels[k]``.  The boundary rows are built
-    once.  Over QQ the ranks are read off F_2 when the F_2 homology is zero
-    or sits in one degree: by the universal coefficient theorem
-    dim_Q H~_i <= dim_F2 H~_i for every i, and the Euler characteristics
-    agree, so the two are then equal.  Otherwise, and in odd
-    characteristic, ``matrix_rank`` decides on the signed rows.
+    degree k - 1 comes from ``levels[k]``.  The signed boundary rows are
+    built once, and ``matrix_rank`` ranks them over each field in turn.
     """
     rows = _boundary_rows(levels)
-    f2 = signed = None
-    out = []
-    for fld in fields:
-        if fld.char in (0, 2):
-            if f2 is None:
-                f2 = _homology(levels, list(map(_rank_f2, rows)))
-            if fld.char == 2 or sum(1 for h in f2.values() if h) <= 1:
-                out.append(f2)
-                continue
-        if signed is None:
-            signed = list(map(_signed_rows, rows, levels, [[]] + levels))
-        out.append(_homology(levels, [matrix_rank(r, fld) for r in signed]))
-    return out
+    return [_homology(levels, [matrix_rank(r, fld) for r in rows]) for fld in fields]

@@ -33,6 +33,7 @@ from beideals.simplicial import (
     _restriction,
     by_size,
     homology_by_field,
+    matrix_rank,
     root_ranks,
     subset_lattice,
     support_masks,
@@ -385,6 +386,18 @@ def test_path_initial_ideals_need_no_elimination(monkeypatch):
         expected = {(i, 2 * i): math.comb(n - 1, i) for i in range(n)}
         assert [t.as_dict() for t in tables] == [expected, expected], n
     assert eliminated == []
+
+
+def test_every_field_is_eliminated_on_its_own(monkeypatch):
+    # one fallback root each, under the given labelings: F_2 homology in two
+    # degrees (fb5) and in one (fb6); QQ is ranked by elimination too, never
+    # copied from F_2, and the two tables agree
+    for n, edges in ((5, [(1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]),
+                     (6, [(1, 6), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])):
+        ranked = counted(monkeypatch, "beideals.simplicial.matrix_rank", matrix_rank)
+        tables = betti_tables(initial_ideal_generators(Graph(n, edges)), 2 * n, [QQ, GF(2)])
+        assert {fld.char for _, fld in ranked} == {0, 2}, edges
+        assert tables[0].as_dict() == tables[1].as_dict(), edges
 
 
 # root homology by iterated element matchings ------------------------------

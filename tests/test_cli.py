@@ -111,6 +111,15 @@ def test_fedder_out_into_a_missing_directory_is_bad_input(p4, tmp_path, capsys, 
     assert not out_file.parent.exists()
 
 
+def test_fedder_over_the_witness_cap_exits_3(tmp_path, capsys):
+    # the witness of P_18 at p = 2 would have 2^17 terms
+    p18 = write_graph(tmp_path, "p18.json", 18, [(i, i + 1) for i in range(1, 18)])
+    start = time.perf_counter()
+    assert main(["fedder", p18, "2"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "capped at 65536 terms, got 2^17" in capsys.readouterr().err
+
+
 def test_fedder_rejects_nonclosed_without_force(c4, capsys):
     assert main(["fedder", c4, "2"]) == 2
     assert "force" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output of `gb`, `fedder`, `weight`, `initial` and `plucker`.
+"""Byte-for-byte CLI output of `gb`, `fedder`, `weight`, `initial`, `betti`
+and `plucker`.
 
 The expected stdout and exit codes in ``cli_frozen.json`` were captured
 from the tuple-monomial implementation; the packed-integer port must print
@@ -6,7 +7,9 @@ the same bytes.  The ``diamond`` entries were captured before the Fedder
 witness was written down from its closed form, which must not change them
 either, and the two ``fedder`` text entries before ``cmd_fedder`` printed
 through ``_emit``.  The ``weight`` and ``initial`` entries were captured
-before the test-only helpers left the edge-ideal layer.
+before the test-only helpers left the edge-ideal layer, and the ``betti``
+entries while F_2 ranks still came from a separate bitset elimination and
+QQ ranks were copied from them where F_2 homology sat in one degree.
 ``python tests/test_cli_frozen.py`` rewrites the file from the current
 code, which is only right when an output change is intended.
 """
@@ -30,6 +33,9 @@ GRAPHS = {
     "c4": (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
     # closed, not a path; the edges {1, 3} and {2, 4} span two witness factors
     "diamond": (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    # each reaches elimination at one root: F_2 homology in two degrees, and in one
+    "fb5": (5, [(1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]),
+    "fb6": (6, [(1, 6), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)]),
 }
 
 
@@ -44,6 +50,9 @@ def commands() -> list:
     out += [["fedder", "diamond", str(p), "--json"] for p in (3, 5)]
     out += [["fedder", "p4", "3"], ["fedder", "c4", "2", "--force"]]
     out += [["weight", "p3"], ["weight", "p132", "--json"], ["initial", "p132"], ["initial", "p4", "--json"]]
+    for graph in ("fb5", "fb6"):
+        out += [["betti", graph, "--field", field] for field in ("q", "f2", "fp:3")]
+        out.append(["betti", graph, "--json"])
     out += [["plucker", "1", "2", "3", "4", "4"], ["plucker", "1", "2", "3", "5", "5", "--field", "f2"],
             ["plucker", "2", "3", "4", "5", "6", "--field", "fp:3"]]
     return out

@@ -31,7 +31,7 @@ from beideals import (
 )
 from beideals import edgeideals
 from beideals.edgeideals import _fedder_factors, _initial_masks
-from beideals.graphs import _all_graphs_up_to_iso
+from beideals.graphs import LimitExceededError, _all_graphs_up_to_iso
 from beideals.polys import EXP_MASK
 from beideals.simplicial import support_masks
 from helpers import complete_graph, first_open_relabeling, pair_power_product, path_graph
@@ -267,6 +267,21 @@ def test_witness_refuses_exponents_past_the_field_width():
     # prime with 2(p - 1) >= 2^15
     with pytest.raises(ValueError, match="2\\^15"):
         fedder_witness(3, 16411)
+
+
+def test_witness_is_capped_before_the_basis_is_built(monkeypatch):
+    # p^(n-1) terms: P_17 at p = 2 sits on the cap of 2^16 and certifies
+    assert edgeideals.WITNESS_LIMIT == 2 ** 16
+    assert fedder_check(path_graph(17), 2).valid
+
+    def no_basis(*args):
+        raise AssertionError("the basis was built before the witness was sized")
+
+    monkeypatch.setattr(edgeideals, "admissible_groebner_basis", no_basis)
+    with pytest.raises(LimitExceededError, match="capped at 65536 terms, got 2\\^17"):
+        fedder_check(path_graph(18), 2)
+    with pytest.raises(LimitExceededError, match="got 3\\^11"):
+        fedder_check(path_graph(12), 3)
 
 
 def test_stepwise_products_check_their_exponents(monkeypatch):
