@@ -248,15 +248,19 @@ def cmd_classify(args) -> int:
     _write(out_dir / "report.json", rows_to_json(rows, config))
     bad = violations(rows)
     print(f"classified {len(rows)} graphs (n = {config.n_min}..{config.n_max}) -> {out_dir}")
-    if bad:
-        repro = out_dir / "violations.json"
-        _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
-        for r in bad:
-            failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
-            print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
-        print(f"reproducer written to {repro}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    repro = out_dir / "violations.json"
+    if not bad:  # an earlier run's reproducer would name graphs this report may not hold
+        try:
+            repro.unlink(missing_ok=True)
+        except OSError as e:
+            raise ValueError(f"cannot remove {repro}: {e}") from None
+        return EXIT_OK
+    _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
+    for r in bad:
+        failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
+        print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
+    print(f"reproducer written to {repro}", file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ from .graphs import (
     is_closed_with_labeling,
     is_connected,
 )
-from .groebner import IdealBasis, _divide, frobenius_power, not_in_bracket_m
+from .groebner import IdealBasis, _divide, _division_table, frobenius_power, not_in_bracket_m
 from .polys import EXP_LIMIT, Polynomial, PolyContext, _check_exponents
 
 
@@ -264,8 +264,7 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     ctx = PolyContext(g.n, GF(p))
     factors, witness = _fedder_factors(ctx)
     basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
-    bracket_gb = frobenius_power(basis, p)
-    table = bracket_gb.division_table
+    table = _division_table(frobenius_power(basis, p).polys)
     memberships = {}
     for i, j in g.sorted_edges():
         r = edge_binomial(ctx, i, j).terms

@@ -4,8 +4,9 @@ The division algorithm processes the largest pending monomial first (via a
 heap), trying divisors in basis order, so normal forms are deterministic.
 Monomials are the packed ints of ``polys``, so the heap holds negated keys
 and a divisibility test is one subtraction masked with the guard bits.
-Divisors enter a division made monic, as rows of a table (leading
-monomial, negated tail), and the pending terms are a plain dict.
+A divisor has one form: a monic row (leading monomial, negated tail) of a
+division table built for one call and never kept, in ``buchberger`` from
+the first S-pair through interreduction.  The pending terms are a plain dict.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
 on.  It skips the S-pairs that the Gebauer-Moeller criteria (J. Symbolic
@@ -15,16 +16,13 @@ leading monomials.  Pending pairs are never revisited: on the edge ideals
 of the 853 connected graphs with n = 7 the chain criterion on them saved
 under 1 % of the reductions and cost more time than it saved.  Skipping
 pairs changes which Groebner basis is found on the way, never the reduced
-basis made from it.  A pair it does reduce goes from two table rows to
-pending terms with no Polynomial in between; most of them still reduce to
-zero.
+basis made from it.  Most of the pairs it does reduce still reduce to zero.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 
 from .polys import EXP_MASK, FIELD_BITS, Polynomial, _check_exponents
 
@@ -60,12 +58,6 @@ class IdealBasis:
         if not self.polys:
             raise ValueError("empty basis has no ring context")
         return self.polys[0].ctx
-
-    @cached_property
-    def division_table(self) -> list:
-        """``_division_table`` of the polys, built on first use and kept;
-        ``_divide`` only reads a table, so every division can share it."""
-        return _division_table(self.polys)
 
 
 def _division_table(divisors) -> list:
@@ -128,26 +120,19 @@ def _divide(ctx, pending: dict, table: list) -> dict:
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis (its polynomials in order).
 
-    An ``IdealBasis`` lends its kept division table, so repeated divisions
-    by one basis set up its divisors once; it has no zero polynomial and
-    one ring, so only that ring is checked against f's.
+    Any iterable of nonzero polynomials from f's ring will do, an
+    ``IdealBasis`` among them; the division table is built per call.
     """
     ctx = f.ctx
-    if isinstance(basis, IdealBasis):
-        if basis.polys and basis.ctx != ctx:
+    divisors = list(basis)
+    for b in divisors:
+        if b.ctx != ctx:
             raise ValueError("divisor from a different ring")
-        table = basis.division_table
-    else:
-        divisors = list(basis)
-        for b in divisors:
-            if b.ctx != ctx:
-                raise ValueError("divisor from a different ring")
-            if b.is_zero():
-                raise ValueError("zero divisor polynomial")
-        table = _division_table(divisors)
-    if not table:
+        if b.is_zero():
+            raise ValueError("zero divisor polynomial")
+    if not divisors:
         return f
-    return Polynomial._from_sums(ctx, _divide(ctx, dict(f.terms), table))
+    return Polynomial._from_sums(ctx, _divide(ctx, dict(f.terms), _division_table(divisors)))
 
 
 def _s_pair(ctx, row_f, row_g, lcm) -> dict:
@@ -192,21 +177,20 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
     so the basis found is still a Groebner basis, and the reduced basis
     made from it is the same: the reduced basis is unique for the ideal and
     the order.
-    Pairs are processed by (lcm degree, lcm, indices).  An S-pair is
-    written from the two division-table rows straight into the division's
-    pending terms (``_s_pair``), and only a nonzero remainder becomes a
-    ``Polynomial``, made monic as every element is.  The division table
-    holds every element found, including those the update takes out of
-    pair generation, so each divisor's leading data is set up once per run.
+    Pairs are processed by (lcm degree, lcm, indices).  Every element is
+    kept only as its ``_division_table`` row: an S-pair is written from two
+    rows straight into the division's pending terms (``_s_pair``), and a
+    nonzero remainder joins the table as one more row.  The table holds
+    every element found, including those the update takes out of pair
+    generation, so each divisor's leading data is set up once per run.
     """
-    work = [p.monic() for p in basis.polys]
-    if not work:
+    table = _division_table(basis.polys)
+    if not table:
         return IdealBasis([])
-    ctx = work[0].ctx
-    table = _division_table(work)
-    leads = [p.lm() for p in work]
+    ctx = basis.ctx
+    leads = [lm for lm, _ in table]
     pairs, active = [], []
-    for t in range(len(work)):
+    for t in range(len(table)):
         active = _update(ctx, leads, active, pairs, t)
 
     while pairs:
@@ -214,13 +198,11 @@ def buchberger(basis: IdealBasis) -> IdealBasis:
         r = _divide(ctx, _s_pair(ctx, table[a], table[b], lcm), table)
         if not r:
             continue
-        r = Polynomial._from_sums(ctx, r).monic()
-        work.append(r)
-        leads.append(r.lm())
-        table += _division_table([r])
-        active = _update(ctx, leads, active, pairs, len(work) - 1)
+        table += _division_table([Polynomial._from_sums(ctx, r)])
+        leads.append(table[-1][0])
+        active = _update(ctx, leads, active, pairs, len(table) - 1)
 
-    return IdealBasis(_interreduce([work[k] for k in active]))
+    return IdealBasis(_interreduce(ctx, [table[k] for k in active]))
 
 
 def _update(ctx, leads, active, pairs, t) -> list:
@@ -271,32 +253,23 @@ def _update(ctx, leads, active, pairs, t) -> list:
     return [g for g in active if (leads[g] - h) & guard] + [t]
 
 
-def _interreduce(polys) -> list:
-    """Minimalize by leading-monomial divisibility, then reduce each
-    element's tail, taken from one table of the minimal elements, against
-    that table; the table's rows are monic, so each output is its leading
-    monomial with coefficient 1 plus its reduced tail.
-
-    An element's own leading monomial never divides a term met while its
-    tail is reduced: every such term is lex-smaller than it.
+def _interreduce(ctx, rows) -> list:
+    """The reduced basis, as Polynomials, from the monic rows of a Groebner
+    basis: the rows are made minimal by leading-monomial divisibility, and
+    each output is a kept row's leading monomial with coefficient 1 plus
+    its tail reduced against the kept rows.  A row's own leading monomial
+    never divides a term met while its tail is reduced: every such term is
+    lex-smaller than it.
     """
-    if not polys:
-        return []
-    ctx = polys[0].ctx
     guard = ctx.guard
-    minimal, leads = [], []
-    for p in sorted(polys, key=lambda p: (ctx.degree(p.lm()), p.lm())):
-        lm = p.lm()
-        for d in leads:
-            if not (lm - d) & guard:
-                break
-        else:
-            minimal.append(p)
-            leads.append(lm)
-    table = _division_table(minimal)
+    minimal = []
+    for row in sorted(rows, key=lambda row: (ctx.degree(row[0]), row[0])):
+        lm = row[0]
+        if all((lm - d) & guard for d, _ in minimal):
+            minimal.append(row)
     reduced = []
-    for lm, tail in table:
-        rest = _divide(ctx, {m: -c for m, c in tail}, table)
+    for lm, tail in minimal:
+        rest = _divide(ctx, {m: -c for m, c in tail}, minimal)
         rest[lm] = 1
         reduced.append(Polynomial._from_sums(ctx, rest))
     return reduced

@@ -382,6 +382,10 @@ def parse_poly(ctx: PolyContext, text: str) -> Polynomial:
                 coeff *= Fraction(int(num), int(den or 1))
             else:
                 exps[ctx.var_index(var)] += int(e or 1)
-        key = ctx.monomial(**{ctx.var_name(k): e for k, e in enumerate(exps) if e})
+        key = 0
+        for k, e in enumerate(exps):
+            if e >= EXP_LIMIT:
+                raise ValueError(f"exponent {e} of {ctx.var_name(k)} does not fit below 2^15")
+            key += e << ctx.shift(k)
         terms[key] = terms.get(key, 0) + coeff
     return Polynomial(ctx, {m: ctx.field.coerce(c) for m, c in terms.items() if c})

@@ -230,6 +230,17 @@ def test_classify_flags_fpt_violations(tmp_path, capsys):
     assert len(csv_lines) == 1 + 9  # header + rows for n in 2..4
 
 
+def test_classify_clean_run_removes_a_stale_reproducer(tmp_path, capsys):
+    # a clean run into a directory that holds an earlier run's reproducer
+    # must not leave it there, naming graphs outside the new report
+    out_dir = tmp_path / "run"
+    assert main(["classify", "--n-max", "4", "--out", str(out_dir)]) == 1
+    assert (out_dir / "violations.json").exists()
+    assert main(["classify", "--n-min", "2", "--n-max", "2", "--out", str(out_dir)]) == 0
+    assert not (out_dir / "violations.json").exists()
+    assert json.loads((out_dir / "report.json").read_text())["count"] == 1
+
+
 def test_classify_out_onto_an_existing_file_is_bad_input(tmp_path, capsys):
     out_file = tmp_path / "taken"
     out_file.write_text("kept\n")

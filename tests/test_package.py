@@ -118,3 +118,17 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue() == "3\n"
+
+
+def test_mutants_target_text_that_occurs_once():
+    # the mutation harness (python tests/mutants.py) edits its old texts;
+    # one that a refactor removed or duplicated would test nothing
+    import mutants
+
+    assert len({m[0] for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for name, file, old, new, tests in mutants.MUTANTS:
+        assert old != new, name
+        assert (mutants.PACKAGE / file).read_text().count(old) == 1, name
+        for node in tests:
+            path, test = node.split("::")
+            assert f"def {test}(" in (ROOT / path).read_text(), (name, node)

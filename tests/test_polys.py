@@ -184,8 +184,10 @@ def test_exponent_overflow_raises():
     assert (big * x1 ** (2**14 - 1)).lm() == ctx.monomial(x1=2**15 - 1, y2=2**15 - 1)
     with pytest.raises(ValueError):
         ctx.monomial(x1=2**15)
-    with pytest.raises(ValueError):
-        parse_poly(ctx, "x1^32768")
+    for text in ("x1^32768", "x1^16384*x1^16384"):  # one exponent, or a sum of two
+        with pytest.raises(ValueError, match="exponent 32768 of x1 does not fit"):
+            parse_poly(ctx, text)
+    assert parse_poly(ctx, "x1^16383*x1^16384").lm() == ctx.monomial(x1=2**15 - 1)
 
 
 def test_monomial_builder_validates():
