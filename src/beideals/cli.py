@@ -13,6 +13,12 @@
 Graph files hold {"n": int, "edges": [[i, j], ...]} with 1-indexed
 vertices.  Exit codes: 0 success, 1 a checked bound or identity failed,
 2 bad input, 3 a size limit was exceeded.
+
+`main` alone loads the graph file, writes stdout and picks the exit code.
+Each command returns its JSON payload, its text lines and whether its
+check held; `main` prints the payload under --json and the lines
+otherwise.  A reader that closes the pipe early leaves the exit code as
+it is.
 """
 
 from __future__ import annotations
@@ -96,10 +102,11 @@ def _emit(payload, as_json: bool, text_lines):
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
 
 
-def cmd_gb(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_gb(args):
+    g = args.graph
     fld = _parse_field(args.field)
     elems = admissible_groebner_basis(g, fld)
     payload = {
@@ -119,37 +126,34 @@ def cmd_gb(args) -> int:
         f"{format_poly(e.poly)}    [path {'-'.join(map(str, e.path))}]"
         for e in elems
     ]
-    if args.verify:
-        ctx = PolyContext(g.n, fld)
-        oracle = buchberger(edge_ideal_generators(ctx, g))
-        ours = {e.poly for e in elems}
-        theirs = set(oracle.polys)
-        payload["verified"] = ours == theirs
-        if ours == theirs:
-            lines.append(f"verify: reduced basis matches Buchberger ({len(elems)} elements)")
-        else:
-            _emit(payload, args.json, lines)
-            print("verify: MISMATCH against the Buchberger oracle", file=sys.stderr)
-            for p in sorted(ours - theirs, key=lambda f: (f.degree(), f.lm())):
-                print(f"  only in path basis:  {format_poly(p)}", file=sys.stderr)
-            for p in sorted(theirs - ours, key=lambda f: (f.degree(), f.lm())):
-                print(f"  only in oracle:      {format_poly(p)}", file=sys.stderr)
-            return EXIT_VIOLATION
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    if not args.verify:
+        return payload, lines, True
+    ctx = PolyContext(g.n, fld)
+    oracle = buchberger(edge_ideal_generators(ctx, g))
+    ours = {e.poly for e in elems}
+    theirs = set(oracle.polys)
+    payload["verified"] = ours == theirs
+    if ours == theirs:
+        lines.append(f"verify: reduced basis matches Buchberger ({len(elems)} elements)")
+    else:
+        print("verify: MISMATCH against the Buchberger oracle", file=sys.stderr)
+        for p in sorted(ours - theirs, key=lambda f: (f.degree(), f.lm())):
+            print(f"  only in path basis:  {format_poly(p)}", file=sys.stderr)
+        for p in sorted(theirs - ours, key=lambda f: (f.degree(), f.lm())):
+            print(f"  only in oracle:      {format_poly(p)}", file=sys.stderr)
+    return payload, lines, ours == theirs
 
 
-def cmd_initial(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_initial(args):
+    g = args.graph
     ctx = PolyContext(g.n, QQ)
     gens = initial_ideal_generators(g)
     payload = {"n": g.n, "count": len(gens), "generators": [format_monomial(ctx, m) for m in gens]}
-    _emit(payload, args.json, payload["generators"])
-    return EXIT_OK
+    return payload, payload["generators"], True
 
 
-def cmd_closed(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_closed(args):
+    g = args.graph
     given = is_closed_with_labeling(g)
     sigma = find_closed_labeling(g)
     payload = {
@@ -161,17 +165,15 @@ def cmd_closed(args) -> int:
         lines.append("closed labeling: " + " ".join(f"{v}->{sigma[v - 1]}" for v in range(1, g.n + 1)))
     else:
         lines.append("no labeling of this graph is closed")
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def cmd_fedder(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_fedder(args):
     if args.p not in (2, 3, 5):
         raise ValueError("supported primes are 2, 3 and 5")
     if args.out:
         _check_writable(pathlib.Path(args.out))
-    cert = fedder_check(g, args.p, force=args.force)
+    cert = fedder_check(args.graph, args.p, force=args.force)
     payload = cert.to_json_dict()
     text = [
         f"p = {cert.p}, witness degree {cert.witness_degree}",
@@ -183,32 +185,29 @@ def cmd_fedder(args) -> int:
     text.append(f"certificate valid: {'yes' if cert.valid else 'no'}")
     if args.out:
         _write(pathlib.Path(args.out), json.dumps(payload, indent=2) + "\n")
-    _emit(payload, args.json, text)
-    return EXIT_OK if cert.valid else EXIT_VIOLATION
+    return payload, text, cert.valid
 
 
-def cmd_fpt(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_fpt(args):
+    g = args.graph
     ctx = PolyContext(g.n, QQ)
     report = fpt_squarefree(initial_ideal_generators(g), 2 * g.n)
     payload = report.to_json_dict(names=ctx.var_name)
-    _emit(payload, args.json, [f"fpt = {payload['fpt']}", "absent variables: " + " ".join(payload["absent"])])
-    return EXIT_OK
+    return payload, [f"fpt = {payload['fpt']}", "absent variables: " + " ".join(payload["absent"])], True
 
 
-def cmd_betti(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_betti(args):
+    g = args.graph
     fld = _parse_field(args.field)
     table = betti_table(initial_ideal_generators(g), 2 * g.n, fld)
     summary = homological_summary(table)
     payload = {"field": repr(fld), **table.to_json_dict(), "summary": summary}
     lines = [render_betti(table), "", f"reg = {summary['regularity']}, pd = {summary['pd']}, type = {summary['type']}"]
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def cmd_weight(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_weight(args):
+    g = args.graph
     elems = admissible_groebner_basis(g, QQ)
     if not elems:
         raise ValueError("the edge ideal is zero; no weights to certify")
@@ -217,26 +216,21 @@ def cmd_weight(args) -> int:
         "x_weights": list(w.weights[: g.n]),
         "y_weights": list(w.weights[g.n:]),
     }
-    _emit(
-        payload,
-        args.json,
-        [
-            "w(x) = " + " ".join(map(str, payload["x_weights"])),
-            "w(y) = " + " ".join(map(str, payload["y_weights"])),
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        "w(x) = " + " ".join(map(str, payload["x_weights"])),
+        "w(y) = " + " ".join(map(str, payload["y_weights"])),
+    ]
+    return payload, lines, True
 
 
-def cmd_plucker(args) -> int:
+def cmd_plucker(args):
     fld = _parse_field(args.field)
     ctx = PolyContext(args.n, fld)
     value = plucker_relation(ctx, args.i, args.j, args.k, args.l)
-    print(format_poly(value))
-    return EXIT_OK if value.is_zero() else EXIT_VIOLATION
+    return None, [format_poly(value)], value.is_zero()
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     config = RunConfig(n_min=args.n_min, n_max=args.n_max, jobs=args.jobs)
     out_dir = pathlib.Path(args.out)
     try:  # before the run, so that a bad --out fails fast
@@ -247,73 +241,53 @@ def cmd_classify(args) -> int:
     _write(out_dir / "report.csv", rows_to_csv(rows))
     _write(out_dir / "report.json", rows_to_json(rows, config))
     bad = violations(rows)
-    print(f"classified {len(rows)} graphs (n = {config.n_min}..{config.n_max}) -> {out_dir}")
     repro = out_dir / "violations.json"
-    if not bad:  # an earlier run's reproducer would name graphs this report may not hold
+    if bad:
+        _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
+        for r in bad:
+            failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
+            print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
+        print(f"reproducer written to {repro}", file=sys.stderr)
+    else:  # an earlier run's reproducer would name graphs this report may not hold
         try:
             repro.unlink(missing_ok=True)
         except OSError as e:
             raise ValueError(f"cannot remove {repro}: {e}") from None
-        return EXIT_OK
-    _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
-    for r in bad:
-        failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
-        print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
-    print(f"reproducer written to {repro}", file=sys.stderr)
-    return EXIT_VIOLATION
+    return None, [f"classified {len(rows)} graphs (n = {config.n_min}..{config.n_max}) -> {out_dir}"], not bad
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="beideals", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.set_defaults(json=False)
     sub = top.add_subparsers(dest="command", required=True)
+    finish = []  # --field and --json go after each command's own options
 
     def add_field(p):
         p.add_argument("--field", default="q", help="coefficients: q, f2 or fp:<prime> (default q)")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    def graph_command(name, func, help, field=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("graph")
+        p.set_defaults(func=func)
+        finish.append((p, field))
+        return p
 
-    p = sub.add_parser("gb", help="lex Groebner basis of the edge ideal via admissible paths")
-    p.add_argument("graph")
+    p = graph_command("gb", cmd_gb, "lex Groebner basis of the edge ideal via admissible paths", field=True)
     p.add_argument("--verify", action="store_true", help="compare against the Buchberger oracle")
-    add_field(p)
-    add_json(p)
-    p.set_defaults(func=cmd_gb)
-
-    p = sub.add_parser("initial", help="minimal generators of the lex initial ideal")
-    p.add_argument("graph")
-    add_json(p)
-    p.set_defaults(func=cmd_initial)
-
-    p = sub.add_parser("closed", help="closedness of the labeling; search for a closed one")
-    p.add_argument("graph")
-    add_json(p)
-    p.set_defaults(func=cmd_closed)
-
-    p = sub.add_parser("fedder", help="F-purity certificate at a prime")
-    p.add_argument("graph")
+    graph_command("initial", cmd_initial, "minimal generators of the lex initial ideal")
+    graph_command("closed", cmd_closed, "closedness of the labeling; search for a closed one")
+    p = graph_command("fedder", cmd_fedder, "F-purity certificate at a prime")
     p.add_argument("p", type=int)
     p.add_argument("--force", action="store_true", help="run even if the labeling is not closed")
     p.add_argument("--out", help="also write the certificate JSON to this file")
-    add_json(p)
-    p.set_defaults(func=cmd_fedder)
-
-    p = sub.add_parser("fpt", help="F-pure threshold of the initial ideal")
-    p.add_argument("graph")
-    add_json(p)
-    p.set_defaults(func=cmd_fpt)
-
-    p = sub.add_parser("betti", help="graded Betti table of the initial ideal")
-    p.add_argument("graph")
-    add_field(p)
-    add_json(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("weight", help="weight vector certifying the lex initial terms")
-    p.add_argument("graph")
-    add_json(p)
-    p.set_defaults(func=cmd_weight)
+    graph_command("fpt", cmd_fpt, "F-pure threshold of the initial ideal")
+    graph_command("betti", cmd_betti, "graded Betti table of the initial ideal", field=True)
+    graph_command("weight", cmd_weight, "weight vector certifying the lex initial terms")
+    for p, field in finish:
+        if field:
+            add_field(p)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("plucker", help="evaluate f_ij*f_kl - f_ik*f_jl + f_il*f_jk")
     for name in ("i", "j", "k", "l", "n"):
@@ -335,13 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "graph" in vars(args):
+            args.graph = _load_graph(args.graph)
+        payload, lines, ok = args.func(args)
     except LimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        _emit(payload, args.json, lines)
+    except BrokenPipeError:
+        # the reader closed the pipe early; with stdout on devnull the
+        # interpreter's final flush stays quiet, and the run keeps its code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -85,6 +85,42 @@ MUTANTS = (
         '_FACTOR = r"(?:\\d+(?:/\\d+)?|[xy]\\d+(?:\\s*\\^\\s*\\d+)?)"\n',
         ("tests/test_polys.py::test_parse_and_var_index_take_ascii_digits_only",),
     ),
+    (
+        "spread_stops_after_one_sweep",
+        "betti.py",
+        "        if group == before:\n            return group\n",
+        "        return group\n",
+        ("tests/test_betti.py::test_betti_tables_match_scan_engine",),
+    ),
+    (
+        "level_test_skipped",
+        "simplicial.py",
+        "    if not critical & ~level[j]:\n",
+        "    if True:\n",
+        ("tests/test_betti.py::test_betti_tables_match_scan_engine",),
+    ),
+    (
+        "renumbered_misses_the_lowest_gap",
+        "betti.py",
+        "reversed(range(appearing.bit_length()))",
+        "reversed(range(1, appearing.bit_length()))",
+        ("tests/test_betti.py::test_random_squarefree_ideals_match_scan_engine",),
+    ),
+    (
+        "canonical_search_keeps_every_first_cell_vertex",
+        "graphs.py",
+        "            elif row == top:\n",
+        "            else:\n",
+        ("tests/test_graphs.py::test_canonical_form_against_scan_oracle",),
+    ),
+    (
+        "main_exits_0_on_a_failed_check",
+        "cli.py",
+        "    return EXIT_OK if ok else EXIT_VIOLATION\n",
+        "    return EXIT_OK\n",
+        ("tests/test_cli.py::test_fedder_forced_cycle_fails_membership",
+         "tests/test_cli.py::test_classify_flags_fpt_violations"),
+    ),
 )
 
 

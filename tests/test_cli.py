@@ -1,10 +1,17 @@
-"""End-to-end command line tests, driven in process through main(argv)."""
+"""End-to-end command line tests, driven in process through main(argv),
+apart from one that runs the CLI as a child process behind a pipe."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import beideals
+from beideals import IdealBasis, buchberger
 from beideals.cli import main
 
 
@@ -52,6 +59,16 @@ def test_gb_nonmonotone_path_has_cubic(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x1*x3*y2 - x2*x3*y1" in out
     assert "[path 1-3-2]" in out
+
+
+def test_gb_verify_mismatch_exits_1(p3, capsys, monkeypatch):
+    # an oracle that loses one element of the reduced basis
+    monkeypatch.setattr("beideals.cli.buchberger", lambda basis: IdealBasis(buchberger(basis).polys[1:]))
+    assert main(["gb", p3, "--verify", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verified"] is False
+    assert "verify: MISMATCH against the Buchberger oracle" in captured.err
+    assert "  only in path basis:  x2*y3 - x3*y2" in captured.err.splitlines()
 
 
 def test_gb_over_f2(p3, capsys):
@@ -132,6 +149,19 @@ def test_fedder_forced_cycle_fails_membership(c4, capsys):
     assert payload["not_in_m_bracket"] is True
     failed = [e for e in payload["edge_memberships"] if not e["in_colon"]]
     assert failed
+
+
+def test_closed_pipe_keeps_the_exit_code(tmp_path):
+    # the certificate JSON (167,840 bytes) outgrows the 64 KiB pipe buffer,
+    # so the child meets the closed read end whenever it starts writing
+    p6 = write_graph(tmp_path, "p6.json", 6, [(i, i + 1) for i in range(1, 6)])
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(beideals.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "beideals.cli", "fedder", p6, "5", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_fedder_prime_gates(p4, capsys):
