@@ -57,8 +57,8 @@ Under classify's labelings that decides 3,734 of the 3,770 roots with
 n <= 6.  The rest go to elimination: ``root_ranks`` cuts from the same
 faces the closed star of the vertex in the most faces, a cone, and
 ``homology_by_field`` ranks what remains: it builds the signed boundary
-rows once, and the fraction-free ``matrix_rank`` ranks them over each
-field on its own, QQ, F_2 and odd F_p alike.  Nothing is sampled.
+rows once and diagonalizes each map once over Z, and every field's rank is
+a count of diagonal entries.  Nothing is sampled.
 
 Every set operation costs O(2^k) bits, so the work grows with 2^k even when
 the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal
@@ -114,7 +114,7 @@ def betti_tables(mingens, nvars: int, fields) -> BettiTables:
 
     Tables can differ between characteristics, which is why the field list
     is explicit; the faces of each root restriction are built once, and
-    only roots that need elimination have their ranks computed per field.
+    roots that need elimination are eliminated once over Z for all fields.
     The work is bitset algebra on the 2^k subsets of the k appearing
     variables, plus the homology of the unions with no dominated vertex;
     raises ``LimitExceededError`` when k exceeds

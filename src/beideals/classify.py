@@ -9,10 +9,11 @@ the bound checks:
 
 Betti data is computed over both QQ and F_2, in one pass that also gives
 the Krull dimension.  Where the acyclic matching decides a restriction its
-ranks hold over every field; elsewhere each field has its own exact
-elimination, so the ``betti_fields_agree`` column compares two independent
-computations at every such restriction.  The tables agree at this scale,
-but the comparison is recorded, not assumed.
+ranks hold over every field; elsewhere one elimination over Z gives both
+fields' ranks, which differ only where 2 divides a diagonal entry.  So the
+``betti_fields_agree`` column records whether any such 2-torsion reaches
+a table.  The tables agree at this scale, but that is recorded, not
+assumed.
 
 The initial ideal depends on the labeling, and so do the fpt and type
 columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do

@@ -17,8 +17,8 @@ vertices.  Exit codes: 0 success, 1 a checked bound or identity failed,
 `main` alone loads the graph file, writes stdout and picks the exit code.
 Each command returns its JSON payload, its text lines and whether its
 check held; `main` prints the payload under --json and the lines
-otherwise.  A reader that closes the pipe early leaves the exit code as
-it is.
+otherwise.  A reader that closes stdout or stderr early leaves the exit
+code as it is.
 """
 
 from __future__ import annotations
@@ -96,13 +96,22 @@ def _check_writable(path: pathlib.Path) -> None:
         raise ValueError(f"cannot write {path}: not a writable file in an existing directory")
 
 
+def _print(stream, lines) -> None:
+    """Write ``lines`` to stdout or stderr and flush, so that a closed pipe
+    shows here.  Then the stream is pointed at os.devnull: later writes and
+    the interpreter's final flush stay quiet, and the run keeps its code."""
+    try:
+        for line in lines:
+            print(line, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _emit(payload, as_json: bool, text_lines):
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-    sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+    _print(sys.stdout, [json.dumps(payload, indent=2)] if as_json else text_lines)
 
 
 def cmd_gb(args):
@@ -136,11 +145,10 @@ def cmd_gb(args):
     if ours == theirs:
         lines.append(f"verify: reduced basis matches Buchberger ({len(elems)} elements)")
     else:
-        print("verify: MISMATCH against the Buchberger oracle", file=sys.stderr)
-        for p in sorted(ours - theirs, key=lambda f: (f.degree(), f.lm())):
-            print(f"  only in path basis:  {format_poly(p)}", file=sys.stderr)
-        for p in sorted(theirs - ours, key=lambda f: (f.degree(), f.lm())):
-            print(f"  only in oracle:      {format_poly(p)}", file=sys.stderr)
+        diff = ["verify: MISMATCH against the Buchberger oracle"]
+        for label, polys in (("only in path basis:", ours - theirs), ("only in oracle:    ", theirs - ours)):
+            diff += [f"  {label}  {format_poly(p)}" for p in sorted(polys, key=lambda f: (f.degree(), f.lm()))]
+        _print(sys.stderr, diff)
     return payload, lines, ours == theirs
 
 
@@ -244,10 +252,9 @@ def cmd_classify(args):
     repro = out_dir / "violations.json"
     if bad:
         _write(repro, json.dumps([r.to_json_dict() for r in bad], indent=2) + "\n")
-        for r in bad:
-            failed = ", ".join(k for k, ok in r.bound_checks.items() if not ok)
-            print(f"bound violation on graph {r.graph_id}: {failed}", file=sys.stderr)
-        print(f"reproducer written to {repro}", file=sys.stderr)
+        _print(sys.stderr, [f"bound violation on graph {r.graph_id}: "
+                            + ", ".join(k for k, ok in r.bound_checks.items() if not ok) for r in bad]
+               + [f"reproducer written to {repro}"])
     else:  # an earlier run's reproducer would name graphs this report may not hold
         try:
             repro.unlink(missing_ok=True)
@@ -313,19 +320,12 @@ def main(argv=None) -> int:
             args.graph = _load_graph(args.graph)
         payload, lines, ok = args.func(args)
     except LimitExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print(sys.stderr, [f"error: {e}"])
         return EXIT_LIMIT
     except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print(sys.stderr, [f"error: {e}"])
         return EXIT_INPUT
-    try:
-        _emit(payload, args.json, lines)
-    except BrokenPipeError:
-        # the reader closed the pipe early; with stdout on devnull the
-        # interpreter's final flush stays quiet, and the run keeps its code
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _emit(payload, args.json, lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

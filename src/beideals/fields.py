@@ -10,9 +10,10 @@ since ``Fraction(k) == k`` and the two hash and print alike.
 A field object is exactly ``char``, ``coerce`` and ``inv``, with equality,
 hash and repr.  Field arithmetic is Python's own operators on ints (and
 Fractions over QQ) followed by ``coerce``, which over F_p reduces mod p;
-the hot loops of ``polys``, ``groebner`` and ``simplicial`` read ``char``
-and reduce mod p themselves.  Groebner bases, normal forms and homology
-ranks are exact in either characteristic.
+the hot loops of ``polys`` and ``groebner`` read ``char`` and reduce mod p
+themselves.  ``simplicial`` eliminates over Z and reads ``char`` only to
+count the diagonal entries that p does not divide.  Groebner bases, normal
+forms and homology ranks are exact in either characteristic.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Restrictions of the Stanley-Reisner complex of a square-free monomial
-ideal to vertex sets, and their exact reduced homology over QQ and F_p,
-for Hochster's formula in ``betti``.
+ideal to vertex sets, and their exact reduced homology over QQ and every
+F_p, for Hochster's formula in ``betti``.
 
 Vertices are variable indices 0..nvars-1 and faces are bitmasks over them.
 A subset is a face exactly when it contains no generator's support.  The
@@ -23,9 +23,10 @@ homology is zero; when R lies in ``LEVEL[j]``, j the size of its top cell,
 |R| is the only nonzero rank, in degree j - 1, over every field.
 Otherwise it falls back to elimination on the star quotient, cut from the
 same faces.  There the boundary rows are built once per level, as dicts
-from the faces one size down to the boundary's signs, and one
-fraction-free elimination, ``matrix_rank``, ranks them over each field:
-QQ, F_2 and odd F_p alike.
+from the faces one size down to the boundary's signs, and ``_diagonal``
+brings each map to a diagonal form over Z once, with no reduction mod p.
+Every field's rank is then a count: over QQ the diagonal entries, over F_p
+those that p does not divide.
 """
 
 from __future__ import annotations
@@ -182,35 +183,6 @@ def restriction_faces(masks, sigma: int) -> list:
     ]
 
 
-def matrix_rank(rows, fld) -> int:
-    """Rank over QQ or F_p of rows given as dicts column -> nonzero int.
-
-    Fraction-free: a row r whose leading column c holds a pivot row becomes
-    piv[c] * r - r[c] * piv, a row operation over every field that needs no
-    inverse.  Over F_p entries are reduced mod p; over QQ they stay ints.
-    """
-    p = fld.char
-    pivots = {}
-    for row in rows:
-        r = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = r
-                break
-            a, b = r.pop(c), piv[c]
-            new = {}
-            for k in r.keys() | piv.keys() - {c}:
-                s = b * r.get(k, 0) - a * piv.get(k, 0)
-                if p:
-                    s %= p
-                if s:
-                    new[k] = s
-            r = new
-    return len(pivots)
-
-
 def _boundary_rows(levels) -> list:
     """rows[k]: the boundary map from k-vertex to (k-1)-vertex faces, one
     dict per face: column t, the face f - v one size down, holds -1 to the
@@ -239,13 +211,55 @@ def _homology(levels, ranks) -> dict:
     return {k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))}
 
 
+def _diagonal(rows) -> list:
+    """Diagonal entries of a diagonal form over Z of ``rows``, dicts column
+    -> nonzero int, by unimodular row and column operations.
+
+    Rows enter one at a time against pivots keyed by leading column; of two
+    rows leading in column c, the one with the smaller entry there is the
+    pivot, and the other loses r[c] // piv[c] times it (Euclid, in ints).
+    A pivot that is +-1 or alone in its row is a diagonal entry; while some
+    pivot is neither, the echelon rows are transposed and eliminated again,
+    as column operations.  The first pivot shrinks until its row and column
+    are clear, then the next, so the passes end.
+    """
+    while True:
+        pivots = {}
+        for row in rows:
+            r = dict(row)
+            while r:
+                c = min(r)
+                piv = pivots.get(c)
+                if piv is None:
+                    pivots[c] = r
+                    break
+                if abs(r[c]) < abs(piv[c]):
+                    pivots[c], r, piv = r, piv, r
+                q = r[c] // piv[c]
+                for k, v in piv.items():
+                    s = r.get(k, 0) - q * v
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        if all(abs(piv[c]) == 1 or len(piv) == 1 for c, piv in pivots.items()):
+            return [piv[c] for c, piv in pivots.items()]
+        columns: dict = {}
+        for c in sorted(pivots):
+            for k, v in pivots[c].items():
+                columns.setdefault(k, {})[c] = v
+        rows = [columns[k] for k in sorted(columns)]
+
+
 def homology_by_field(levels, fields) -> list:
     """Reduced homology ranks {d: rank}, d = -1 .. dim, one dict per field.
 
     ``levels`` lists by size the faces that form a basis of a simplicial
     chain complex, possibly modulo a subcomplex whose faces are left out;
-    degree k - 1 comes from ``levels[k]``.  The signed boundary rows are
-    built once, and ``matrix_rank`` ranks them over each field in turn.
+    degree k - 1 comes from ``levels[k]``.  Each boundary map is diagonalized
+    over Z once for all fields; its rank over F_p counts the diagonal entries
+    that p does not divide, and over QQ all of them.
     """
-    rows = _boundary_rows(levels)
-    return [_homology(levels, [matrix_rank(r, fld) for r in rows]) for fld in fields]
+    diagonals = [_diagonal(rows) for rows in _boundary_rows(levels)]
+    return [_homology(levels, [sum(1 for d in diagonal if not fld.char or d % fld.char)
+                               for diagonal in diagonals]) for fld in fields]

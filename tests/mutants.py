@@ -79,6 +79,22 @@ MUTANTS = (
         ("tests/test_simplicial.py::test_signed_rows_against_scan_engine_rows",),
     ),
     (
+        "diagonal_stops_after_one_pass",
+        "simplicial.py",
+        "        if all(abs(piv[c]) == 1 or len(piv) == 1 for c, piv in pivots.items()):\n",
+        "        if True:\n",
+        ("tests/test_simplicial.py::test_diagonal_ranks_match_matrix_rank_over_every_field",),
+    ),
+    (
+        "every_diagonal_entry_counts_over_fp",
+        "simplicial.py",
+        "for d in diagonal if not fld.char or d % fld.char)",
+        "for d in diagonal if True)",
+        ("tests/test_betti.py::test_projective_plane_needs_the_exact_fallback",
+         "tests/test_betti.py::test_projective_plane_root_takes_the_elimination",
+         "tests/test_simplicial.py::test_projective_plane_depends_on_the_field"),
+    ),
+    (
         "factor_takes_unicode_digits",
         "polys.py",
         '_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|[xy][0-9]+(?:\\s*\\^\\s*[0-9]+)?)"\n',

@@ -4,8 +4,9 @@ by extension and ranked over F_2 by XOR; kept as a test oracle.
 It scans all 2^|sigma| subsets of each restriction, assembles signed dict
 boundary rows for the whole complex, and ranks them exactly over every
 requested field by the dense row reduction ``dense_rank`` of the
-brute-force oracle, not by the library's ``matrix_rank``.  The
-Stanley-Reisner facets come from a sweep over all 2^nvars subsets.
+brute-force oracle, not by the library's ``_diagonal`` nor by
+``rank_oracle.matrix_rank``.  The Stanley-Reisner facets come from a sweep
+over all 2^nvars subsets.
 """
 
 from beideals.simplicial import support_masks

@@ -30,16 +30,17 @@ from beideals.graphs import (
     relabel,
 )
 from beideals.simplicial import (
+    _diagonal,
     _restriction,
     by_size,
     homology_by_field,
-    matrix_rank,
     root_ranks,
     subset_lattice,
     support_masks,
 )
 from helpers import classify_labeled, first_open_relabeling, path_graph, star_quotient_levels
 from hochster_oracle import betti_by_restriction
+import rank_oracle
 from scan_engine import scan_betti_table, scan_facets
 
 
@@ -209,13 +210,13 @@ def betti_tables_per_union(mingens, nvars, fields, memo=None):
     for sigma in unions_of_supports(masks):
         size = sigma.bit_count()
         if memo is None:
-            ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+            ranks = rank_oracle.homology_by_field(star_quotient_levels(masks, sigma), fields)
         else:
             pattern = restriction_pattern(masks, sigma)
             ranks = memo.get(pattern)
             if ranks is None:
                 levels = star_quotient_levels(pattern[1:], (1 << size) - 1)
-                ranks = memo[pattern] = homology_by_field(levels, fields)
+                ranks = memo[pattern] = rank_oracle.homology_by_field(levels, fields)
         for table, by_degree in zip(tables, ranks):
             for d, h in by_degree.items():
                 if h:
@@ -388,15 +389,22 @@ def test_path_initial_ideals_need_no_elimination(monkeypatch):
     assert eliminated == []
 
 
-def test_every_field_is_eliminated_on_its_own(monkeypatch):
+def test_open_roots_are_diagonalized_once_for_every_field(monkeypatch):
     # one fallback root each, under the given labelings: F_2 homology in two
-    # degrees (fb5) and in one (fb6); QQ is ranked by elimination too, never
-    # copied from F_2, and the two tables agree
+    # degrees (fb5) and in one (fb6).  Each boundary map of the root is
+    # diagonalized once over Z, whatever the number of fields; the tables
+    # match one elimination per field, and QQ and F_2 agree
     for n, edges in ((5, [(1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]),
                      (6, [(1, 6), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])):
-        ranked = counted(monkeypatch, "beideals.simplicial.matrix_rank", matrix_rank)
-        tables = betti_tables(initial_ideal_generators(Graph(n, edges)), 2 * n, [QQ, GF(2)])
-        assert {fld.char for _, fld in ranked} == {0, 2}, edges
+        gens = initial_ideal_generators(Graph(n, edges))
+        eliminated = counted(monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field)
+        diagonalized = counted(monkeypatch, "beideals.simplicial._diagonal", _diagonal)
+        for fields in ([QQ], [QQ, GF(2)], [QQ, GF(2), GF(3), GF(5)]):
+            del eliminated[:], diagonalized[:]
+            tables = betti_tables(gens, 2 * n, fields)
+            # one open root, and one diagonalization per map of its complex
+            assert len(eliminated) == 1 and len(diagonalized) == len(eliminated[0][0]), (edges, fields)
+        assert [t.as_dict() for t in tables[:2]] == betti_tables_per_union(gens, 2 * n, [QQ, GF(2)])
         assert tables[0].as_dict() == tables[1].as_dict(), edges
 
 
@@ -404,8 +412,8 @@ def test_every_field_is_eliminated_on_its_own(monkeypatch):
 
 def rank_key(masks, sigma, fields):
     """The nonzero ranks of the restriction to ``sigma`` per field, from the
-    star quotient and elimination."""
-    ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+    star quotient and one elimination per field."""
+    ranks = rank_oracle.homology_by_field(star_quotient_levels(masks, sigma), fields)
     return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
 
 
@@ -424,7 +432,7 @@ def seeded_relabeling(g, rng):
 
 
 def test_root_ranks_match_star_quotient_homology():
-    fields = [QQ, GF(2), GF(3)]
+    fields = [QQ, GF(2), GF(3), GF(5)]
     rng = random.Random(24)
     roots = 0
     for n in range(1, 7):
@@ -443,7 +451,7 @@ def test_root_ranks_match_star_quotient_homology():
 def test_root_ranks_match_star_quotient_homology_at_n7():
     # every root of every n = 7 class under classify's labeling; the
     # elimination runs once per restriction_pattern, as in the per-union loop
-    fields = [QQ, GF(2), GF(3)]
+    fields = [QQ, GF(2), GF(3), GF(5)]
     memo = {}
     roots = 0
     for g in enumerate_connected_graphs(7):
@@ -538,7 +546,7 @@ def test_pendant_dominates_on_a_bipartite_edge_ideal():
     fields = [QQ, GF(2), GF(3)]
 
     def reduced_homology(sigma):
-        ranks = homology_by_field(star_quotient_levels(masks, sigma), fields)
+        ranks = rank_oracle.homology_by_field(star_quotient_levels(masks, sigma), fields)
         return [{d: h for d, h in by_degree.items() if h} for by_degree in ranks]
 
     full = (1 << 7) - 1

@@ -1,5 +1,5 @@
 """End-to-end command line tests, driven in process through main(argv),
-apart from one that runs the CLI as a child process behind a pipe."""
+apart from three that run the CLI as a child process behind a closed pipe."""
 
 import json
 import os
@@ -151,17 +151,34 @@ def test_fedder_forced_cycle_fails_membership(c4, capsys):
     assert failed
 
 
+def run_behind_a_closed_pipe(args, closed: str) -> tuple:
+    """Run the CLI as a child process with the read end of its ``closed``
+    pipe, "stdout" or "stderr", closed before the child starts writing;
+    its exit code and what reached the other pipe."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(beideals.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "beideals.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    getattr(proc, closed).close()
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, err if closed == "stdout" else out
+
+
 def test_closed_pipe_keeps_the_exit_code(tmp_path):
     # the certificate JSON (167,840 bytes) outgrows the 64 KiB pipe buffer,
     # so the child meets the closed read end whenever it starts writing
     p6 = write_graph(tmp_path, "p6.json", 6, [(i, i + 1) for i in range(1, 6)])
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(beideals.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "beideals.cli", "fedder", p6, "5", "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0
-    assert err == b""
+    assert run_behind_a_closed_pipe(["fedder", p6, "5", "--json"], "stdout") == (0, b"")
+
+
+def test_closed_stderr_keeps_the_bad_input_code(tmp_path):
+    missing = str(tmp_path / "nope.json")
+    assert run_behind_a_closed_pipe(["gb", missing], "stderr") == (2, b"")
+
+
+def test_closed_stderr_keeps_the_limit_code(tmp_path):
+    # in(J_{P_12}) has 22 appearing variables, over the cap of 20
+    p12 = write_graph(tmp_path, "p12.json", 12, [(i, i + 1) for i in range(1, 12)])
+    assert run_behind_a_closed_pipe(["betti", p12], "stderr") == (3, b"")
 
 
 def test_fedder_prime_gates(p4, capsys):

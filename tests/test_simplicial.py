@@ -10,14 +10,16 @@ from beideals.graphs import LimitExceededError, enumerate_connected_graphs
 from beideals.simplicial import (
     MAX_APPEARING,
     _boundary_rows,
+    _diagonal,
     by_size,
     homology_by_field,
-    matrix_rank,
     restriction_faces,
     root_ranks,
     support_masks,
 )
 from helpers import face_levels, star_quotient_levels
+import rank_oracle
+from rank_oracle import matrix_rank
 from scan_engine import boundary_rows, scan_facets, scan_restriction_faces
 
 
@@ -60,14 +62,17 @@ def krull_dim(facets):
 
 def homology_ranks(faces, fld):
     """Reduced homology ranks {d: rank}, d = -1 .. dim, zeros included, of a
-    downward closed list of face bitmasks (the empty face 0 among them)."""
+    downward closed list of face bitmasks (the empty face 0 among them),
+    from the elimination over Z, checked against the one over ``fld``."""
     levels = []
     for f in faces:
         k = f.bit_count()
         while len(levels) <= k:
             levels.append([])
         levels[k].append(f)
-    return homology_by_field(levels, [fld])[0]
+    ranks = homology_by_field(levels, [fld])[0]
+    assert ranks == rank_oracle.homology_by_field(levels, [fld])[0], (faces, fld)
+    return ranks
 
 
 def faces_of(facets):
@@ -260,8 +265,9 @@ def test_star_quotient_keeps_the_homology():
             assert cut == faces if not outside else any(
                 cut == outside[v] for v in outside if through[v] == most
             ), (g.edges, sigma)
+            # the quotient over Z against the whole restriction field by field
             got = [{d: h for d, h in r.items() if h} for r in homology_by_field(quotient, fields)]
-            want = [{d: h for d, h in r.items() if h} for r in homology_by_field(full, fields)]
+            want = [{d: h for d, h in r.items() if h} for r in rank_oracle.homology_by_field(full, fields)]
             assert got == want, (g.edges, sigma)
 
 
@@ -368,6 +374,30 @@ def test_rank_where_fields_disagree():
     assert matrix_rank(rows, QQ) == 1
     assert matrix_rank(rows, GF(2)) == 0
     assert matrix_rank(rows, GF(3)) == 1
+    assert _diagonal(rows) == [2]
+
+
+def diagonal_ranks(rows, fields):
+    """The rank over each field counted off one diagonal form over Z, as
+    ``homology_by_field`` counts it."""
+    diagonal = _diagonal(rows)
+    return [sum(1 for d in diagonal if not fld.char or d % fld.char) for fld in fields]
+
+
+def test_diagonal_ranks_match_matrix_rank_over_every_field():
+    # entries with the small primes as factors, so that many diagonal forms
+    # have an entry other than +-1 and the F_p ranks drop below the QQ rank
+    rng = random.Random(43)
+    fields = (QQ, GF(2), GF(3), GF(5), GF(7))
+    entries = (0, 1, -1, 2, -2, 3, 4, 6, -9)
+    non_units = 0
+    for _ in range(2000):
+        ncols = rng.randint(1, 6)
+        rows = [{c: v for c in range(ncols) if (v := rng.choice(entries))}
+                for _ in range(rng.randint(1, 6))]
+        assert diagonal_ranks(rows, fields) == [matrix_rank(rows, fld) for fld in fields], rows
+        non_units += any(abs(d) != 1 for d in _diagonal(rows))
+    assert non_units > 500, non_units
 
 
 def test_signed_rows_against_scan_engine_rows():
@@ -386,6 +416,7 @@ def test_signed_rows_against_scan_engine_rows():
             for k, faces in enumerate(levels):
                 want = boundary_rows(lower, faces)
                 assert rows[k] == want, (levels, k)
-                for fld in (QQ, GF(3)):
-                    assert matrix_rank(rows[k], fld) == naive_rank(want, len(lower), fld)
+                ranks = [naive_rank(want, len(lower), fld) for fld in (QQ, GF(3))]
+                assert [matrix_rank(rows[k], fld) for fld in (QQ, GF(3))] == ranks
+                assert diagonal_ranks(rows[k], (QQ, GF(3))) == ranks
                 lower = {f: t for t, f in enumerate(faces)}

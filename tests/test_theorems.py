@@ -45,6 +45,18 @@ def test_regularity_formulas_on_the_report_rows(classification_rows, graphs_by_i
             assert (row.reg == row.n - 1) == row.is_path, row.graph_id  # Kiani & Saeedi Madani
 
 
+def test_regularity_is_at_most_the_number_of_maximal_cliques(classification_rows, graphs_by_id):
+    # Rouzbahani Malayeri, Saeedi Madani & Kiani, J. Combin. Theory Ser. A
+    # 2021: reg S/J_G <= c(G); equality holds on every path and complete
+    # graph with n >= 2, among others
+    equal = 0
+    for row in classification_rows:
+        cliques = len(maximal_cliques(graphs_by_id[row.graph_id]))
+        assert row.reg <= cliques, row.graph_id
+        equal += row.reg == cliques
+    assert (len(classification_rows), equal) == (143, 48)
+
+
 def test_closed_rows_are_cohen_macaulay_exactly_on_clique_chains(classification_rows, graphs_by_id):
     # Ene, Herzog & Hibi, under the closed labeling that classify uses
     closed = chains = 0

@@ -13,7 +13,9 @@ scans all 2^n of them; nothing is done for speed.
   under a closed labeling, is Cohen-Macaulay exactly when its maximal
   cliques, ordered by their least vertex, meet in one vertex when
   consecutive and not at all otherwise (Ene, Herzog & Hibi, Nagoya Math.
-  J. 2011).
+  J. 2011).  For every G, reg S/J_G is at most the number of maximal
+  cliques (Rouzbahani Malayeri, Saeedi Madani & Kiani, J. Combin. Theory
+  Ser. A 2021).
 """
 
 
