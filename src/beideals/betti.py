@@ -35,30 +35,31 @@ containing v and, for some u != v, it contains u and none of the supports
 through u without a witness for v.  Under classify's labelings with n <= 6 only
 3,770 of the 76,148 unions have no dominated vertex.
 
-Only those roots go through homology.  Roots with the same nonzero ranks
-form a group, and each group spreads along domination: sigma + v joins
-when v is dominated in it, and then has the ranks of sigma.  The group
-grows in place, one shift per vertex in a sweep over the vertices, until
-a sweep adds nothing.  Every union with nonzero homology is reached: for
-a dominated v, sigma - v has the same nonzero ranks, so it is a union too
-(any other subset is a cone) and, by induction on size, in the group
-already.  No union joins two groups, since its ranks decide its group.  A
-group then adds popcount(group AND LEVEL[s]) times its ranks to the
-entries with j = s.
+Only those roots go through homology, over Z.  Roots with the same
+nonzero homology form a group, and each group spreads along domination:
+sigma + v joins when v is dominated in it, and then has the homology of
+sigma.  The group grows in place, one shift per vertex in a sweep over the
+vertices, until a sweep adds nothing.  Every union with nonzero homology is
+reached: for a dominated v, sigma - v has the same homology, so it is a
+union too (any other subset is a cone) and, by induction on size, in the
+group already.  No union joins two groups, since its homology (torsion in
+Smith form) decides its group.  A group then adds popcount(group AND
+LEVEL[s]) times its ranks over each field, by universal coefficients, to
+the entries with j = s: the one place a field is read.
 
 Each root's restriction is visited once, whatever the number of fields.
-``root_ranks`` takes its faces on sigma's own lattice of 2^|sigma|
+``root_homology`` takes its faces on sigma's own lattice of 2^|sigma|
 subsets and pairs f with f + v, for each vertex v in turn, among the faces
 still unpaired.  That is an acyclic matching whose incidences are +-1, so
 by algebraic Morse theory the unpaired faces span a complex over Z with
 the same homology.  When they all lie in ``LEVEL[j]``, its differentials
-are zero, and the ranks are their count in degree j - 1 over every field.
+are zero, and the homology is free of rank their count in degree j - 1.
 Under classify's labelings that decides 3,734 of the 3,770 roots with
-n <= 6.  The rest go to elimination: ``root_ranks`` cuts from the same
+n <= 6.  The rest go to elimination: ``root_homology`` cuts from the same
 faces the closed star of the vertex in the most faces, a cone, and
-``homology_by_field`` ranks what remains: it builds the signed boundary
-rows once and diagonalizes each map once over Z, and every field's rank is
-a count of diagonal entries.  Nothing is sampled.
+``integral_homology`` builds the signed boundary rows of what remains,
+brings each map to a Smith form once over Z, and reads the free ranks and
+torsion orders off the diagonals.  Nothing is sampled.
 
 Every set operation costs O(2^k) bits, so the work grows with 2^k even when
 the unions are few.  ``MAX_APPEARING`` caps k at 20, so the initial ideal
@@ -69,11 +70,13 @@ before any lattice is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .fields import is_prime
 from .graphs import LimitExceededError
 from .simplicial import (
     MAX_APPEARING,
-    root_ranks,
+    root_homology,
     subset_lattice,
     support_masks,
 )
@@ -101,11 +104,13 @@ class BettiTable:
 
 class BettiTables(tuple):
     """One BettiTable per requested field, in order, plus ``krull_dim``,
-    the Krull dimension of S/I, which does not depend on the field."""
+    the Krull dimension of S/I, and ``torsion_primes``, the sorted primes
+    with torsion in some restriction, empty when every field gives one table."""
 
-    def __new__(cls, tables, krull_dim: int):
+    def __new__(cls, tables, krull_dim: int, torsion_primes: tuple):
         self = super().__new__(cls, tables)
         self.krull_dim = krull_dim
+        self.torsion_primes = torsion_primes
         return self
 
 
@@ -138,30 +143,46 @@ def _betti_tables_of_masks(masks, nvars: int, fields) -> BettiTables:
     roots = unions
     for d in dominated:
         roots &= ~d
-    groups: dict = {}  # nonzero ranks by field -> roots with those ranks
+    groups: dict = {}  # nonzero homology over Z -> roots with that homology
     while roots:
         low = roots & -roots
         roots ^= low
-        sigma = low.bit_length() - 1
-        key = root_ranks(local, sigma, fields)
-        if any(key):
+        key = root_homology(local, low.bit_length() - 1)
+        if key:
             groups[key] = groups.get(key, 0) | low
     steps = [(1 << v, d) for v, d in enumerate(dominated) if d]
     tables: list = [dict() for _ in fields]
     for key, group in groups.items():
         group = _spread(group, steps)
+        by_field = [_ranks_over(key, fld.char) for fld in fields]
         for size, subsets in enumerate(level):
             count = (group & subsets).bit_count()
             if count:
-                for table, by_degree in zip(tables, key):
-                    for d, h in by_degree:
+                for table, ranks in zip(tables, by_field):
+                    for d, h in ranks.items():
                         entry = (size - 1 - d, size)
                         table[entry] = table.get(entry, 0) + count * h
     top = max(size for size, subsets in enumerate(level) if faces & subsets)
     return BettiTables(
         [BettiTable(tuple(sorted(t.items()))) for t in tables],
         top + nvars - k,
+        tuple(sorted({p for key in groups for _, _, torsion in key for q in torsion
+                      for p in range(2, q + 1) if q % p == 0 and is_prime(p)})),
     )
+
+
+@lru_cache(maxsize=None)
+def _ranks_over(homology, p: int) -> dict:
+    """Nonzero ranks {degree: rank} over a field of characteristic ``p`` of
+    the ``root_homology`` over Z (cached: keys recur; read only): each
+    torsion order that p divides adds one in its degree and one in the
+    degree above, by universal coefficients."""
+    ranks: dict = {}
+    for d, free, torsion in homology:
+        tor = sum(1 for q in torsion if p and q % p == 0)
+        ranks[d] = ranks.get(d, 0) + free + tor
+        ranks[d + 1] = ranks.get(d + 1, 0) + tor
+    return {d: h for d, h in ranks.items() if h}
 
 
 def _renumbered(masks) -> tuple:

@@ -8,12 +8,11 @@ the bound checks:
     reg <= n - 1;  non-path implies reg <= n - 2;  dim >= n + 1;  fpt = 2.
 
 Betti data is computed over both QQ and F_2, in one pass that also gives
-the Krull dimension.  Where the acyclic matching decides a restriction its
-ranks hold over every field; elsewhere one elimination over Z gives both
-fields' ranks, which differ only where 2 divides a diagonal entry.  So the
-``betti_fields_agree`` column records whether any such 2-torsion reaches
-a table.  The tables agree at this scale, but that is recorded, not
-assumed.
+the Krull dimension.  Each restriction's homology is computed once over Z,
+and each field's ranks are read off it by universal coefficients, so the
+two tables differ exactly where some restriction has 2-torsion, and
+``betti_fields_agree`` holds exactly when 2 is not in ``torsion_primes``.
+The tables agree at this scale, but that is recorded, not assumed.
 
 The initial ideal depends on the labeling, and so do the fpt and type
 columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do

@@ -11,9 +11,9 @@ A field object is exactly ``char``, ``coerce`` and ``inv``, with equality,
 hash and repr.  Field arithmetic is Python's own operators on ints (and
 Fractions over QQ) followed by ``coerce``, which over F_p reduces mod p;
 the hot loops of ``polys`` and ``groebner`` read ``char`` and reduce mod p
-themselves.  ``simplicial`` eliminates over Z and reads ``char`` only to
-count the diagonal entries that p does not divide.  Groebner bases, normal
-forms and homology ranks are exact in either characteristic.
+themselves.  ``simplicial`` computes homology over Z with no field, and
+``betti`` reads ``char`` once, to project it to each field's ranks.
+Groebner bases, normal forms and homology ranks are exact in any field.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Restrictions of the Stanley-Reisner complex of a square-free monomial
-ideal to vertex sets, and their exact reduced homology over QQ and every
-F_p, for Hochster's formula in ``betti``.
+ideal to vertex sets, and their exact reduced homology over Z, for
+Hochster's formula in ``betti``.
 
 Vertices are variable indices 0..nvars-1 and faces are bitmasks over them.
 A subset is a face exactly when it contains no generator's support.  The
@@ -16,22 +16,22 @@ the AND of ``HAS[v]`` over v in m.  The faces of a restriction are then
 the full set minus every ``SUP(m)``, a few int operations for all subsets
 at once.
 
-``root_ranks`` gives the homology of a restriction from an acyclic
+``root_homology`` gives the homology of a restriction from an acyclic
 matching on its faces: faces f and f + v are paired for one vertex v after
 another, and one test decides the unmatched set R.  When R is empty the
 homology is zero; when R lies in ``LEVEL[j]``, j the size of its top cell,
-|R| is the only nonzero rank, in degree j - 1, over every field.
-Otherwise it falls back to elimination on the star quotient, cut from the
-same faces.  There the boundary rows are built once per level, as dicts
-from the faces one size down to the boundary's signs, and ``_diagonal``
-brings each map to a diagonal form over Z once, with no reduction mod p.
-Every field's rank is then a count: over QQ the diagonal entries, over F_p
-those that p does not divide.
+it is free of rank |R| in degree j - 1.  Otherwise ``integral_homology``
+eliminates on the star quotient, cut from the same faces.  There the
+boundary rows are built once per level, as dicts from the faces one size
+down to the boundary's signs, and ``_diagonal`` brings each map to a Smith
+form over Z once.  Free ranks and torsion orders are read off the
+diagonals; no coefficient field enters this module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 
 from .graphs import LimitExceededError
 
@@ -104,10 +104,10 @@ def by_size(members: int) -> list:
 # faces and homology of restrictions, used by Hochster's formula
 # ----------------------------------------------------------------------
 
-def root_ranks(masks, sigma: int, fields) -> tuple:
-    """The nonzero reduced homology ranks of the restriction to ``sigma``,
-    one tuple of (degree, rank) per field, read off an acyclic matching
-    where it can be.
+def root_homology(masks, sigma: int) -> tuple:
+    """The nonzero reduced homology over Z of the restriction to ``sigma``:
+    one (degree, free rank, torsion orders) per degree, read off an acyclic
+    matching where it can be.
 
     For each vertex v of sigma in turn, the faces f and f + v that are both
     still unmatched are paired off: on the remaining set R that is
@@ -119,17 +119,17 @@ def root_ranks(masks, sigma: int, fields) -> tuple:
     complex on the critical cells R.  When R is empty the homology is zero.
     When R lies in ``LEVEL[j]``, j the size of its top cell, every Morse
     differential is zero, and the homology is free of rank |R| in degree
-    j - 1 over every field.
+    j - 1.
 
     Otherwise the Morse differentials are not the boundary restricted to R,
-    and ``homology_by_field`` ranks the star quotient of the vertex v in
+    and ``integral_homology`` takes the star quotient of the vertex v in
     the most faces: the faces that avoid v and give no face with v,
     ``faces & ~(HAS[v] | faces >> 2^v)``.  The closed star of v is a cone,
     so it is acyclic, and the quotient has the reduced homology of the
-    restriction over any coefficients.  The star holds the T faces through
-    v and the T faces they give without v, so this v leaves the fewest
-    faces to eliminate.  The faces stay on sigma's own lattice: homology
-    depends only on the face poset, which the renumbering keeps.
+    restriction over Z.  The star holds the T faces through v and the T
+    faces they give without v, so this v leaves the fewest faces to
+    eliminate.  The faces stay on sigma's own lattice: homology depends
+    only on the face poset, which the renumbering keeps.
     """
     faces, has, level = _restriction(masks, sigma)
     critical = faces
@@ -137,14 +137,13 @@ def root_ranks(masks, sigma: int, fields) -> tuple:
         low = critical & ~h & critical >> (1 << v)
         critical &= ~(low | low << (1 << v))
     if not critical:
-        return ((),) * len(fields)
+        return ()
     j = (critical.bit_length() - 1).bit_count()
     if not critical & ~level[j]:
-        return (((j - 1, critical.bit_count()),),) * len(fields)
+        return ((j - 1, critical.bit_count(), ()),)
     v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
     quotient = faces & ~(has[v] | faces >> (1 << v))
-    ranks = homology_by_field(by_size(quotient), fields)
-    return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+    return integral_homology(by_size(quotient))
 
 
 def _restriction(masks, sigma: int) -> tuple:
@@ -206,14 +205,9 @@ def _boundary_rows(levels) -> list:
     return out
 
 
-def _homology(levels, ranks) -> dict:
-    ranks = ranks + [0]
-    return {k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))}
-
-
 def _diagonal(rows) -> list:
-    """Diagonal entries of a diagonal form over Z of ``rows``, dicts column
-    -> nonzero int, by unimodular row and column operations.
+    """Diagonal entries of a Smith form over Z of ``rows``, dicts column ->
+    nonzero int, by unimodular row and column operations, up to sign.
 
     Rows enter one at a time against pivots keyed by leading column; of two
     rows leading in column c, the one with the smaller entry there is the
@@ -221,7 +215,8 @@ def _diagonal(rows) -> list:
     A pivot that is +-1 or alone in its row is a diagonal entry; while some
     pivot is neither, the echelon rows are transposed and eliminated again,
     as column operations.  The first pivot shrinks until its row and column
-    are clear, then the next, so the passes end.
+    are clear, then the next, so the passes end.  Last, each pair a, b
+    other than +-1 becomes gcd, lcm, since Z/a + Z/b = Z/gcd + Z/lcm.
     """
     while True:
         pivots = {}
@@ -243,7 +238,13 @@ def _diagonal(rows) -> list:
                     else:
                         del r[k]
         if all(abs(piv[c]) == 1 or len(piv) == 1 for c, piv in pivots.items()):
-            return [piv[c] for c, piv in pivots.items()]
+            diagonal = [piv[c] for c, piv in pivots.items()]
+            rest = [i for i, d in enumerate(diagonal) if abs(d) != 1]
+            for n, i in enumerate(rest):
+                for t in rest[n + 1:]:
+                    a, b = diagonal[i], diagonal[t]
+                    diagonal[i], diagonal[t] = gcd(a, b), lcm(a, b)
+            return diagonal
         columns: dict = {}
         for c in sorted(pivots):
             for k, v in pivots[c].items():
@@ -251,15 +252,14 @@ def _diagonal(rows) -> list:
         rows = [columns[k] for k in sorted(columns)]
 
 
-def homology_by_field(levels, fields) -> list:
-    """Reduced homology ranks {d: rank}, d = -1 .. dim, one dict per field.
-
-    ``levels`` lists by size the faces that form a basis of a simplicial
-    chain complex, possibly modulo a subcomplex whose faces are left out;
-    degree k - 1 comes from ``levels[k]``.  Each boundary map is diagonalized
-    over Z once for all fields; its rank over F_p counts the diagonal entries
-    that p does not divide, and over QQ all of them.
-    """
-    diagonals = [_diagonal(rows) for rows in _boundary_rows(levels)]
-    return [_homology(levels, [sum(1 for d in diagonal if not fld.char or d % fld.char)
-                               for diagonal in diagonals]) for fld in fields]
+def integral_homology(levels) -> tuple:
+    """Reduced homology over Z of the chain complex on the faces ``levels``
+    by size, possibly modulo a subcomplex whose faces are left out: one
+    (degree, free rank, torsion orders) for each degree k - 1 where it is
+    nonzero, read off the Smith forms of the maps out of ``levels[k]`` and
+    ``levels[k + 1]``, each diagonalized once."""
+    diagonals = [_diagonal(rows) for rows in _boundary_rows(levels)] + [[]]
+    homology = ((k - 1, len(faces) - len(diagonals[k]) - len(diagonals[k + 1]),
+                 tuple(abs(d) for d in diagonals[k + 1] if abs(d) != 1))
+                for k, faces in enumerate(levels))
+    return tuple((d, free, torsion) for d, free, torsion in homology if free or torsion)

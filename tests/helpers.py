@@ -1,12 +1,13 @@
 """Graph builders and labelings shared by the test files, the by-size
 face listings of restrictions that the homology tests compare against,
-and the product of edge-binomial powers that the Fedder tests multiply
-out."""
+the projection of integral homology to each field's ranks, and the
+product of edge-binomial powers that the Fedder tests multiply out."""
 
 import itertools
 
 from beideals import Graph, PolyContext, Polynomial, edge_binomial, find_closed_labeling, \
     is_closed_with_labeling, relabel
+from beideals.betti import _ranks_over
 from beideals.simplicial import _restriction, by_size
 
 
@@ -70,6 +71,31 @@ def star_quotient_levels(masks, sigma: int) -> list:
         v = max(range(len(has)), key=lambda v: (faces & has[v]).bit_count())
         faces &= ~(has[v] | faces >> (1 << v))
     return by_size(faces)
+
+
+def projective_plane_generators():
+    """Stanley-Reisner ideal of the six-vertex real projective plane: its
+    minimal non-faces are the ten triangles that are not among its faces."""
+    faces = {
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+    }
+    return [
+        tuple(int(v in t) for v in range(6))
+        for t in itertools.combinations(range(6), 3)
+        if t not in faces
+    ]
+
+
+def over_fields(homology, fields) -> list:
+    """Integral homology, as ``root_homology`` gives it, projected to the
+    nonzero ranks {degree: rank} over each field, as the tables take it."""
+    return [_ranks_over(homology, fld.char) for fld in fields]
+
+
+def nonzero(ranks) -> list:
+    """Per-field rank dicts, zeros included, without their zero entries."""
+    return [{d: h for d, h in r.items() if h} for r in ranks]
 
 
 def pair_power_product(ctx: PolyContext, vertices, exponent: int) -> Polynomial:

@@ -86,13 +86,36 @@ MUTANTS = (
         ("tests/test_simplicial.py::test_diagonal_ranks_match_matrix_rank_over_every_field",),
     ),
     (
-        "every_diagonal_entry_counts_over_fp",
+        "diagonal_skips_the_smith_pass",
         "simplicial.py",
-        "for d in diagonal if not fld.char or d % fld.char)",
-        "for d in diagonal if True)",
+        "diagonal[i], diagonal[t] = gcd(a, b), lcm(a, b)",
+        "pass",
+        ("tests/test_simplicial.py::test_diagonal_is_a_smith_form",),
+    ),
+    (
+        "every_diagonal_entry_counts_over_fp",
+        "betti.py",
+        "for q in torsion if p and q % p == 0)",
+        "for q in torsion if False)",
         ("tests/test_betti.py::test_projective_plane_needs_the_exact_fallback",
          "tests/test_betti.py::test_projective_plane_root_takes_the_elimination",
          "tests/test_simplicial.py::test_projective_plane_depends_on_the_field"),
+    ),
+    (
+        "torsion_skips_the_degree_above",
+        "betti.py",
+        "        ranks[d + 1] = ranks.get(d + 1, 0) + tor\n",
+        "",
+        ("tests/test_betti.py::test_projective_plane_needs_the_exact_fallback",
+         "tests/test_betti.py::test_projective_plane_root_takes_the_elimination",
+         "tests/test_simplicial.py::test_projective_plane_depends_on_the_field"),
+    ),
+    (
+        "torsion_keeps_unit_entries",
+        "simplicial.py",
+        "for d in diagonals[k + 1] if abs(d) != 1)",
+        "for d in diagonals[k + 1] if d != 1)",
+        ("tests/test_betti.py::test_no_open_root_with_n7_or_less_has_torsion",),
     ),
     (
         "factor_takes_unicode_digits",

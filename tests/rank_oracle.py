@@ -4,10 +4,10 @@ library's single elimination over Z is checked against.
 ``matrix_rank`` is the fraction-free elimination that ``simplicial`` used
 before it diagonalized over Z, and ``homology_by_field`` runs it on the
 library's signed boundary rows once per field, so every field's ranks come
-from a computation of their own.
+from a computation of their own, with no use of the library's homology.
 """
 
-from beideals.simplicial import _boundary_rows, _homology
+from beideals.simplicial import _boundary_rows
 
 
 def matrix_rank(rows, fld) -> int:
@@ -40,8 +40,12 @@ def matrix_rank(rows, fld) -> int:
 
 
 def homology_by_field(levels, fields) -> list:
-    """Reduced homology ranks {d: rank}, d = -1 .. dim, one dict per field,
-    as ``simplicial.homology_by_field`` gives them, with the boundary rows
-    ranked by ``matrix_rank`` over each field in turn."""
-    rows = _boundary_rows(levels)
-    return [_homology(levels, [matrix_rank(r, fld) for r in rows]) for fld in fields]
+    """Reduced homology ranks {d: rank}, d = -1 .. dim, zeros included, one
+    dict per field, with the boundary rows ranked by ``matrix_rank`` over
+    each field in turn: degree k - 1 has the ``len(levels[k])`` faces of
+    size k less the ranks of the maps out of sizes k and k + 1."""
+    rows, out = _boundary_rows(levels), []
+    for fld in fields:
+        ranks = [matrix_rank(r, fld) for r in rows] + [0]
+        out.append({k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))})
+    return out

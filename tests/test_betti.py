@@ -21,7 +21,7 @@ from beideals import (
     render_betti,
 )
 
-from beideals.betti import MAX_APPEARING, _renumbered, _spread, _subset_sets
+from beideals.betti import MAX_APPEARING, _ranks_over, _renumbered, _spread, _subset_sets
 from beideals.classify import graph_id
 from beideals.graphs import (
     LimitExceededError,
@@ -33,12 +33,20 @@ from beideals.simplicial import (
     _diagonal,
     _restriction,
     by_size,
-    homology_by_field,
-    root_ranks,
+    integral_homology,
+    root_homology,
     subset_lattice,
     support_masks,
 )
-from helpers import classify_labeled, first_open_relabeling, path_graph, star_quotient_levels
+from helpers import (
+    classify_labeled,
+    first_open_relabeling,
+    nonzero,
+    over_fields,
+    path_graph,
+    projective_plane_generators,
+    star_quotient_levels,
+)
 from hochster_oracle import betti_by_restriction
 import rank_oracle
 from scan_engine import scan_betti_table, scan_facets
@@ -142,24 +150,13 @@ def test_random_ideals_with_singletons_and_repeats_match_scan_engine():
         assert betti_tables_per_union(gens, nvars, fields) == want, gens
 
 
-def projective_plane_generators():
-    """Stanley-Reisner ideal of the six-vertex real projective plane: its
-    minimal non-faces are the ten triangles that are not among its faces."""
-    faces = {
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
-    }
-    return [
-        tuple(int(v in t) for v in range(6))
-        for t in itertools.combinations(range(6), 3)
-        if t not in faces
-    ]
-
-
 def test_projective_plane_needs_the_exact_fallback():
     gens = projective_plane_generators()
-    tq, t2 = betti_tables(gens, 6, [QQ, GF(2)])
+    tables = betti_tables(gens, 6, [QQ, GF(2)])
+    tq, t2 = tables
     assert tq.as_dict() != t2.as_dict()
+    assert set(t2.entries) - set(tq.entries) == {((3, 6), 1), ((4, 6), 1)}
+    assert tables.torsion_primes == (2,)
     assert tq.as_dict() == betti_by_restriction(gens, 6, QQ)
     assert t2.as_dict() == betti_by_restriction(gens, 6, GF(2))
 
@@ -357,9 +354,9 @@ def counted(monkeypatch, name, real):
 
 
 def test_homology_is_computed_only_without_a_dominated_vertex(monkeypatch):
-    roots = counted(monkeypatch, "beideals.betti.root_ranks", root_ranks)
+    roots = counted(monkeypatch, "beideals.betti.root_homology", root_homology)
     eliminated = counted(
-        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+        monkeypatch, "beideals.simplicial.integral_homology", integral_homology
     )
     built = counted(monkeypatch, "beideals.simplicial._restriction", _restriction)
     unions = 0
@@ -380,7 +377,7 @@ def test_path_initial_ideals_need_no_elimination(monkeypatch):
     # the supports x_i*y_{i+1} are pairwise disjoint, so no vertex is ever
     # dominated; the matching still decides every root
     eliminated = counted(
-        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+        monkeypatch, "beideals.simplicial.integral_homology", integral_homology
     )
     for n in range(1, 11):
         tables = betti_tables(initial_ideal_generators(path_graph(n)), 2 * n, [QQ, GF(2)])
@@ -397,7 +394,7 @@ def test_open_roots_are_diagonalized_once_for_every_field(monkeypatch):
     for n, edges in ((5, [(1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]),
                      (6, [(1, 6), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])):
         gens = initial_ideal_generators(Graph(n, edges))
-        eliminated = counted(monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field)
+        eliminated = counted(monkeypatch, "beideals.simplicial.integral_homology", integral_homology)
         diagonalized = counted(monkeypatch, "beideals.simplicial._diagonal", _diagonal)
         for fields in ([QQ], [QQ, GF(2)], [QQ, GF(2), GF(3), GF(5)]):
             del eliminated[:], diagonalized[:]
@@ -408,13 +405,58 @@ def test_open_roots_are_diagonalized_once_for_every_field(monkeypatch):
         assert tables[0].as_dict() == tables[1].as_dict(), edges
 
 
+def test_no_open_root_with_n7_or_less_has_torsion(monkeypatch):
+    # every root the matching leaves open, under classify's labelings, has
+    # only +-1 on its diagonals, so every table holds over every field
+    found = []
+
+    def recording(levels):
+        found.append(integral_homology(levels))
+        return found[-1]
+
+    monkeypatch.setattr("beideals.simplicial.integral_homology", recording)
+    classes = 0
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            tables = betti_tables(initial_ideal_generators(classify_labeled(g)), 2 * n, [QQ])
+            assert tables.torsion_primes == (), g.edges
+            classes += 1
+    # 36 open roots for n <= 6 and 1,535 at n = 7
+    assert (classes, len(found)) == (996, 36 + 1535)
+    assert all(not torsion for homology in found for _, _, torsion in homology)
+
+
+def test_universal_coefficients_on_integral_homology():
+    # H_1 = Z + Z/2 + Z/4 and H_2 = Z/3 + Z/6, written by hand.  Over F_p a
+    # torsion order that p divides adds one in its degree (H tensor F_p) and
+    # one in the degree above (Tor(H, F_p)); over QQ only free ranks count
+    homology = ((1, 1, (2, 4)), (2, 0, (3, 6)))
+    assert _ranks_over(homology, 0) == {1: 1}
+    # F_2: H_1 1 + 2; H_2 0 + 1, plus 2 from H_1; H_3 1 from H_2
+    assert _ranks_over(homology, 2) == {1: 3, 2: 3, 3: 1}
+    # F_3: H_1 1; H_2 2; H_3 2 from H_2
+    assert _ranks_over(homology, 3) == {1: 1, 2: 2, 3: 2}
+    assert _ranks_over(homology, 5) == {1: 1}
+    # a degree with torsion only, and the degree below left alone
+    assert _ranks_over(((0, 0, (2,)),), 2) == {0: 1, 1: 1}
+    assert _ranks_over(((-1, 1, ()), (0, 0, (4,))), 2) == {-1: 1, 0: 1, 1: 1}
+
+
+def test_torsion_primes_are_the_prime_factors_of_the_orders(monkeypatch):
+    # hand-written integral homology at every root: orders 4 and 6 give 2, 3
+    monkeypatch.setattr("beideals.betti.root_homology",
+                        lambda masks, sigma: ((1, 1, (2, 4)), (2, 0, (6,))))
+    assert betti_tables([(1, 1)], 2, [QQ]).torsion_primes == (2, 3)
+    monkeypatch.setattr("beideals.betti.root_homology", lambda masks, sigma: ((0, 0, (9,)),))
+    assert betti_tables([(1, 1)], 2, [QQ]).torsion_primes == (3,)
+
+
 # root homology by iterated element matchings ------------------------------
 
-def rank_key(masks, sigma, fields):
+def oracle_ranks(masks, sigma, fields):
     """The nonzero ranks of the restriction to ``sigma`` per field, from the
     star quotient and one elimination per field."""
-    ranks = rank_oracle.homology_by_field(star_quotient_levels(masks, sigma), fields)
-    return tuple(tuple((d, h) for d, h in r.items() if h) for r in ranks)
+    return nonzero(rank_oracle.homology_by_field(star_quotient_levels(masks, sigma), fields))
 
 
 def roots_of(mingens, nvars):
@@ -440,8 +482,8 @@ def test_root_ranks_match_star_quotient_homology():
             for h in (classify_labeled(g), seeded_relabeling(g, rng)):
                 local, sigmas = roots_of(initial_ideal_generators(h), 2 * n)
                 for sigma in sigmas:
-                    want = rank_key(local, sigma, fields)
-                    assert root_ranks(local, sigma, fields) == want, (h.edges, sigma)
+                    want = oracle_ranks(local, sigma, fields)
+                    assert over_fields(root_homology(local, sigma), fields) == want, (h.edges, sigma)
                 roots += len(sigmas)
     # 3,771 roots under classify's labelings (K_1's empty union included),
     # 3,635 under the seeded ones
@@ -460,8 +502,8 @@ def test_root_ranks_match_star_quotient_homology_at_n7():
             pattern = restriction_pattern(local, sigma)
             want = memo.get(pattern)
             if want is None:
-                want = memo[pattern] = rank_key(pattern[1:], (1 << pattern[0]) - 1, fields)
-            assert root_ranks(local, sigma, fields) == want, (g.edges, sigma)
+                want = memo[pattern] = oracle_ranks(pattern[1:], (1 << pattern[0]) - 1, fields)
+            assert over_fields(root_homology(local, sigma), fields) == want, (g.edges, sigma)
         roots += len(sigmas)
     assert roots == 52263
 
@@ -483,9 +525,9 @@ def spread_by_frontiers(group, dominated, has):
     return group
 
 
-def root_groups(mingens, nvars, fields):
-    """The groups of roots that betti_tables spreads, one per nonzero rank
-    key, with the domination sets and the lattice's ``HAS``."""
+def root_groups(mingens, nvars):
+    """The groups of roots that betti_tables spreads, one per nonzero
+    integral homology, with the domination sets and the lattice's ``HAS``."""
     local, k = _renumbered(support_masks(mingens, nvars))
     unions, _, dominated = _subset_sets(local, k)
     for d in dominated:
@@ -493,8 +535,8 @@ def root_groups(mingens, nvars, fields):
     groups: dict = {}
     for level in by_size(unions):
         for sigma in level:
-            key = root_ranks(local, sigma, fields)
-            if any(key):
+            key = root_homology(local, sigma)
+            if key:
                 groups[key] = groups.get(key, 0) | 1 << sigma
     return list(groups.values()), dominated, subset_lattice(k)[1]
 
@@ -502,7 +544,7 @@ def root_groups(mingens, nvars, fields):
 def sweeps_match_frontiers(h) -> tuple:
     """Check every group spread for ``h``'s initial ideal against the
     frontier spread; the number of groups and of unions they reach."""
-    groups, dominated, has = root_groups(initial_ideal_generators(h), 2 * h.n, [QQ, GF(2)])
+    groups, dominated, has = root_groups(initial_ideal_generators(h), 2 * h.n)
     steps = [(1 << v, d) for v, d in enumerate(dominated) if d]
     reached = 0
     for group in groups:
@@ -530,9 +572,11 @@ def test_projective_plane_root_takes_the_elimination(monkeypatch):
     # the whole six-vertex RP^2: its torsion shows only through elimination
     masks = support_masks(projective_plane_generators(), 6)
     eliminated = counted(
-        monkeypatch, "beideals.simplicial.homology_by_field", homology_by_field
+        monkeypatch, "beideals.simplicial.integral_homology", integral_homology
     )
-    assert root_ranks(masks, (1 << 6) - 1, [QQ, GF(2), GF(3)]) == ((), ((1, 1), (2, 1)), ())
+    homology = root_homology(masks, (1 << 6) - 1)
+    assert homology == ((1, 0, (2,)),)
+    assert over_fields(homology, [QQ, GF(2), GF(3)]) == [{}, {1: 1, 2: 1}, {}]
     assert len(eliminated) == 1
 
 

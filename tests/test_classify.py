@@ -10,11 +10,13 @@ import pytest
 import beideals
 from beideals import (
     CSV_COLUMNS,
+    GF,
     QQ,
     Graph,
     LimitExceededError,
     RunConfig,
     betti_table,
+    betti_tables,
     classify_graph,
     classify_range,
     enumerate_connected_graphs,
@@ -27,7 +29,7 @@ from beideals import (
     rows_to_json,
     violations,
 )
-from helpers import classify_labeled
+from helpers import classify_labeled, projective_plane_generators
 
 CLAW_ID = "4-0b"
 C4_ID = "4-1e"
@@ -150,6 +152,18 @@ def test_fpt_bound_violations_are_flagged(rows5):
         assert r.bound_checks["nonpath_reg_le_n_minus_2"]
         assert r.bound_checks["dim_ge_n_plus_1"]
         assert r.betti_fields_agree
+
+
+def test_fields_agree_exactly_without_2_torsion(classification_rows):
+    # the report's QQ-against-F_2 column reads "no 2-torsion" off the tables
+    rows = {r.graph_id: r for r in classification_rows}
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            tables = betti_tables(initial_ideal_generators(classify_labeled(g)), 2 * n, [QQ, GF(2)])
+            assert rows.pop(graph_id(g)).betti_fields_agree == (2 not in tables.torsion_primes)
+    assert not rows
+    tq, t2 = tables = betti_tables(projective_plane_generators(), 6, [QQ, GF(2)])
+    assert tq.entries != t2.entries and 2 in tables.torsion_primes
 
 
 def test_violation_counts(rows5):

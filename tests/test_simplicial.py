@@ -12,12 +12,12 @@ from beideals.simplicial import (
     _boundary_rows,
     _diagonal,
     by_size,
-    homology_by_field,
+    integral_homology,
     restriction_faces,
-    root_ranks,
+    root_homology,
     support_masks,
 )
-from helpers import face_levels, star_quotient_levels
+from helpers import face_levels, nonzero, over_fields, star_quotient_levels
 import rank_oracle
 from rank_oracle import matrix_rank
 from scan_engine import boundary_rows, scan_facets, scan_restriction_faces
@@ -63,16 +63,17 @@ def krull_dim(facets):
 def homology_ranks(faces, fld):
     """Reduced homology ranks {d: rank}, d = -1 .. dim, zeros included, of a
     downward closed list of face bitmasks (the empty face 0 among them),
-    from the elimination over Z, checked against the one over ``fld``."""
+    from the elimination over ``fld``, checked against the homology over Z
+    projected to ``fld``."""
     levels = []
     for f in faces:
         k = f.bit_count()
         while len(levels) <= k:
             levels.append([])
         levels[k].append(f)
-    ranks = homology_by_field(levels, [fld])[0]
-    assert ranks == rank_oracle.homology_by_field(levels, [fld])[0], (faces, fld)
-    return ranks
+    ranks = rank_oracle.homology_by_field(levels, [fld])
+    assert over_fields(integral_homology(levels), [fld]) == nonzero(ranks), (faces, fld)
+    return ranks[0]
 
 
 def faces_of(facets):
@@ -231,7 +232,7 @@ def test_restrictions_past_the_cap_build_no_lattice(monkeypatch):
     monkeypatch.setattr("beideals.simplicial.subset_lattice", no_lattice)
     sigma = (1 << MAX_APPEARING + 1) - 1
     masks = [mask(0, 1), mask(1, 2)]
-    for run in (lambda: restriction_faces(masks, sigma), lambda: root_ranks(masks, sigma, [QQ])):
+    for run in (lambda: restriction_faces(masks, sigma), lambda: root_homology(masks, sigma)):
         with pytest.raises(LimitExceededError, match="capped at 20 vertices, got 21"):
             run()
 
@@ -266,9 +267,8 @@ def test_star_quotient_keeps_the_homology():
                 cut == outside[v] for v in outside if through[v] == most
             ), (g.edges, sigma)
             # the quotient over Z against the whole restriction field by field
-            got = [{d: h for d, h in r.items() if h} for r in homology_by_field(quotient, fields)]
-            want = [{d: h for d, h in r.items() if h} for r in rank_oracle.homology_by_field(full, fields)]
-            assert got == want, (g.edges, sigma)
+            got = over_fields(integral_homology(quotient), fields)
+            assert got == nonzero(rank_oracle.homology_by_field(full, fields)), (g.edges, sigma)
 
 
 def test_facets_against_subset_sweep():
@@ -313,6 +313,8 @@ def test_projective_plane_depends_on_the_field():
     assert homology_ranks(faces, QQ) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert homology_ranks(faces, GF(3)) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert homology_ranks(faces, GF(2)) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    # over Z: H_1 = Z/2 and nothing free; over F_2 the Tor term adds H_2
+    assert integral_homology(by_size(sum(1 << f for f in faces))) == ((1, 0, (2,)),)
 
 
 def test_euler_characteristic_consistency():
@@ -377,9 +379,22 @@ def test_rank_where_fields_disagree():
     assert _diagonal(rows) == [2]
 
 
+def test_diagonal_is_a_smith_form():
+    # Z/2 + Z/3 is Z/6, and Z/4 + Z/6 is Z/2 + Z/12: isomorphic cokernels
+    # give the same entries other than +-1, each dividing the next
+    def orders(rows):
+        return [abs(d) for d in _diagonal(rows) if abs(d) != 1]
+
+    assert orders([{0: 2}, {1: 3}]) == orders([{0: 6}]) == [6]
+    assert orders([{0: 3}, {1: -2}]) == [6]
+    assert orders([{0: 4}, {1: 6}]) == orders([{0: 6}, {1: 4}]) == [2, 12]
+    assert orders([{0: 2}, {1: 4}, {2: 3}]) == [2, 12]
+    assert sorted(map(abs, _diagonal([{0: 2}, {1: 3}, {2: -1}]))) == [1, 1, 6]
+
+
 def diagonal_ranks(rows, fields):
-    """The rank over each field counted off one diagonal form over Z, as
-    ``homology_by_field`` counts it."""
+    """The rank over each field counted off one Smith form over Z: over QQ
+    every diagonal entry, over F_p those that p does not divide."""
     diagonal = _diagonal(rows)
     return [sum(1 for d in diagonal if not fld.char or d % fld.char) for fld in fields]
 
@@ -396,7 +411,9 @@ def test_diagonal_ranks_match_matrix_rank_over_every_field():
         rows = [{c: v for c in range(ncols) if (v := rng.choice(entries))}
                 for _ in range(rng.randint(1, 6))]
         assert diagonal_ranks(rows, fields) == [matrix_rank(rows, fld) for fld in fields], rows
-        non_units += any(abs(d) != 1 for d in _diagonal(rows))
+        orders = [abs(d) for d in _diagonal(rows) if abs(d) != 1]
+        assert all(b % a == 0 for a, b in zip(orders, orders[1:])), rows
+        non_units += bool(orders)
     assert non_units > 500, non_units
 
 
