@@ -70,9 +70,8 @@ before any lattice is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .fields import is_prime
+from .fields import prime_factors
 from .graphs import LimitExceededError
 from .simplicial import (
     MAX_APPEARING,
@@ -163,20 +162,18 @@ def _betti_tables_of_masks(masks, nvars: int, fields) -> BettiTables:
                         entry = (size - 1 - d, size)
                         table[entry] = table.get(entry, 0) + count * h
     top = max(size for size, subsets in enumerate(level) if faces & subsets)
+    orders = {q for key in groups for _, _, torsion in key for q in torsion}
     return BettiTables(
         [BettiTable(tuple(sorted(t.items()))) for t in tables],
         top + nvars - k,
-        tuple(sorted({p for key in groups for _, _, torsion in key for q in torsion
-                      for p in range(2, q + 1) if q % p == 0 and is_prime(p)})),
+        tuple(sorted(set().union(*map(prime_factors, orders)))),
     )
 
 
-@lru_cache(maxsize=None)
 def _ranks_over(homology, p: int) -> dict:
     """Nonzero ranks {degree: rank} over a field of characteristic ``p`` of
-    the ``root_homology`` over Z (cached: keys recur; read only): each
-    torsion order that p divides adds one in its degree and one in the
-    degree above, by universal coefficients."""
+    the ``root_homology`` over Z: each torsion order that p divides adds
+    one in its degree and one in the degree above, by universal coefficients."""
     ranks: dict = {}
     for d, free, torsion in homology:
         tor = sum(1 for q in torsion if p and q % p == 0)

@@ -22,17 +22,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def prime_factors(q: int) -> set:
+    """The primes dividing ``q`` >= 1, each divided out as trial division finds it."""
+    primes, p = set(), 2
+    while p * p <= q:
+        if q % p:
+            p += 1
+        else:
+            primes.add(p)
+            q //= p
+    return primes | ({q} - {1})
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and prime_factors(p) == {p}
 
 
 class RationalField:

@@ -449,6 +449,10 @@ def test_torsion_primes_are_the_prime_factors_of_the_orders(monkeypatch):
     assert betti_tables([(1, 1)], 2, [QQ]).torsion_primes == (2, 3)
     monkeypatch.setattr("beideals.betti.root_homology", lambda masks, sigma: ((0, 0, (9,)),))
     assert betti_tables([(1, 1)], 2, [QQ]).torsion_primes == (3,)
+    # one large order: a high power of 2 times a prime past a million
+    monkeypatch.setattr("beideals.betti.root_homology",
+                        lambda masks, sigma: ((0, 0, (2 ** 60 * 1_000_003,)),))
+    assert betti_tables([(1, 1)], 2, [QQ]).torsion_primes == (2, 1_000_003)
 
 
 # root homology by iterated element matchings ------------------------------
