@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import prime_factors
+from .fields import _prime_factors
 from .graphs import LimitExceededError
 from .simplicial import (
     MAX_APPEARING,
@@ -166,7 +166,7 @@ def _betti_tables_of_masks(masks, nvars: int, fields) -> BettiTables:
     return BettiTables(
         [BettiTable(tuple(sorted(t.items()))) for t in tables],
         top + nvars - k,
-        tuple(sorted(set().union(*map(prime_factors, orders)))),
+        tuple(sorted(set().union(*map(_prime_factors, orders)))),
     )
 
 

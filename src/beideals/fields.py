@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def prime_factors(q: int) -> set:
+def _prime_factors(q: int) -> set:
     """The primes dividing ``q`` >= 1, each divided out as trial division finds it."""
     primes, p = set(), 2
     while p * p <= q:
@@ -35,7 +35,7 @@ def prime_factors(q: int) -> set:
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and prime_factors(p) == {p}
+    return p >= 2 and _prime_factors(p) == {p}
 
 
 class RationalField:
