@@ -17,10 +17,12 @@ The tables agree at this scale, but that is recorded, not assumed.
 The initial ideal depends on the labeling, and so do the fpt and type
 columns.  Krull dimension does not, since dim S/in(I) = dim S/I; nor do
 regularity and projective dimension, since the initial ideal is square-free
-(Conca & Varbaro 2020).  Rows are computed under the closed labeling that
-``find_closed_labeling`` returns whenever one exists (so the path rows
-reflect the monotone labeling, where the initial ideal is a complete
-intersection) and under the canonical labeling otherwise.
+(Conca & Varbaro 2020).  So ``classify_graph`` first relabels its input by
+``canonical_form``, which also gives the row's id, and then computes the row
+under the closed labeling that ``find_closed_labeling`` finds on that
+canonical form whenever one exists (so the path rows reflect the monotone
+labeling, where the initial ideal is a complete intersection) and under the
+canonical labeling otherwise.  A row depends only on the isomorphism class.
 """
 
 from __future__ import annotations
@@ -118,15 +120,19 @@ class ClassificationRow:
 
 def graph_id(g: Graph) -> str:
     """Stable identifier: vertex count and the canonical adjacency code in hex."""
-    code, _ = canonical_form(g)
-    pairs = g.n * (g.n - 1) // 2
-    digits = max(1, (pairs + 3) // 4)
-    return f"{g.n}-{code:0{digits}x}"
+    return _format_id(g.n, canonical_form(g)[0])
+
+
+def _format_id(n: int, code: int) -> str:
+    digits = max(1, (n * (n - 1) // 2 + 3) // 4)  # one hex digit per four vertex pairs
+    return f"{n}-{code:0{digits}x}"
 
 
 def classify_graph(g: Graph) -> ClassificationRow:
-    """Compute one report row.  ``g`` should be canonically labeled."""
+    """Compute one report row, the same for every labeling of ``g``."""
     n = g.n
+    code, canon = canonical_form(g)
+    g = relabel(g, canon)
     sigma = find_closed_labeling(g)
     h = relabel(g, sigma) if sigma else g
     masks = _initial_masks(h)
@@ -149,7 +155,7 @@ def classify_graph(g: Graph) -> ClassificationRow:
         "fpt_eq_2": fpt_report.fpt == 2,
     }
     return ClassificationRow(
-        graph_id=graph_id(g),
+        graph_id=_format_id(n, code),
         n=n,
         edge_count=len(g.edges),
         is_path=path,

@@ -72,10 +72,10 @@ class PrimeField:
     __slots__ = ("char",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p > 2**31:  # first: trial division to sqrt(p) is slow
+            raise ValueError(f"prime too large: {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        if p > 2**31:
-            raise ValueError(f"prime too large: {p}")
         self.char = p
 
     def coerce(self, value):

@@ -60,9 +60,6 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "masks", tuple(masks))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def degree_sequence(self) -> tuple:
         return tuple(sorted(m.bit_count() for m in self.masks))
 

@@ -150,10 +150,11 @@ def _check_exponents(ctx: PolyContext, keys) -> None:
 class Polynomial:
     """Immutable sparse polynomial: dict from packed monomial to coefficient.
 
-    Construction normalizes coefficients through the context field and drops
-    zeros, so equal polynomials always have equal term dicts.  Equal means
-    equal by value: over QQ a whole-number coefficient may be the int k or
-    ``Fraction(k)``, which compare, hash and print alike.
+    Construction sends every coefficient through the context field's
+    ``coerce`` and drops zeros, so a whole-number rational or a bool becomes
+    an int.  Arithmetic keeps what Python's operators give: over QQ a
+    whole-number coefficient may be ``Fraction(k)``, which compares, hashes
+    and prints as the int k, so equal polynomials have equal term dicts.
     """
 
     __slots__ = ("ctx", "terms", "_lm")
@@ -162,7 +163,7 @@ class Polynomial:
         field = ctx.field
         clean = {}
         for m, c in terms.items():
-            c = field.coerce(c) if not _is_native(field, c) else c
+            c = field.coerce(c)
             if c != 0:
                 _check_key(ctx, m)
                 clean[m] = c
@@ -302,12 +303,6 @@ def _check_key(ctx: PolyContext, m) -> None:
         raise ValueError("monomial key does not belong to the ring")
 
 
-def _is_native(field, c) -> bool:
-    if field.char == 0:
-        return type(c) is int or isinstance(c, Fraction)
-    return isinstance(c, int) and 0 <= c < field.char
-
-
 # ----------------------------------------------------------------------
 # text format: a polynomial prints as a sum of terms ``c*x1^a*y2^b`` with
 # terms in descending lex order; parse_poly inverts format_poly exactly.
@@ -388,4 +383,4 @@ def parse_poly(ctx: PolyContext, text: str) -> Polynomial:
                 raise ValueError(f"exponent {e} of {ctx.var_name(k)} does not fit below 2^15")
             key += e << ctx.shift(k)
         terms[key] = terms.get(key, 0) + coeff
-    return Polynomial(ctx, {m: ctx.field.coerce(c) for m, c in terms.items() if c})
+    return Polynomial(ctx, terms)

@@ -1,12 +1,12 @@
-"""Graph builders and labelings shared by the test files, the by-size
-face listings of restrictions that the homology tests compare against,
-the projection of integral homology to each field's ranks, and the
-product of edge-binomial powers that the Fedder tests multiply out."""
+"""Graph builders, the edge test and labelings shared by the test files,
+the by-size face listings of restrictions that the homology tests compare
+against, the projection of integral homology to each field's ranks, and
+the product of edge-binomial powers that the Fedder tests multiply out."""
 
 import itertools
 
-from beideals import Graph, PolyContext, Polynomial, edge_binomial, find_closed_labeling, \
-    is_closed_with_labeling, relabel
+from beideals import Graph, PolyContext, Polynomial, canonical_form, edge_binomial, \
+    find_closed_labeling, is_closed_with_labeling, relabel
 from beideals.betti import _ranks_over
 from beideals.simplicial import _restriction, by_size
 
@@ -23,9 +23,14 @@ def disjoint_union(g, h):
     return Graph(g.n + h.n, list(g.edges) + [(i + g.n, j + g.n) for i, j in h.edges])
 
 
+def has_edge(g, i, j):
+    return (min(i, j), max(i, j)) in g.edges
+
+
 def classify_labeled(g):
-    """``g`` under the labeling classify_graph uses: closed when one
-    exists, else the canonical one as given."""
+    """``g`` under the labeling classify_graph uses: its canonical form,
+    relabeled by the closed labeling found on it when one exists."""
+    g = relabel(g, canonical_form(g)[1])
     sigma = find_closed_labeling(g)
     return relabel(g, sigma) if sigma else g
 

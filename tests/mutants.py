@@ -153,6 +153,20 @@ MUTANTS = (
         ("tests/test_graphs.py::test_canonical_form_against_scan_oracle",),
     ),
     (
+        "classify_keeps_the_given_labeling",
+        "classify.py",
+        "    g = relabel(g, canon)\n",
+        "",
+        ("tests/test_classify.py::test_rows_do_not_depend_on_the_input_labeling",),
+    ),
+    (
+        "constructor_keeps_coefficients_as_given",
+        "polys.py",
+        "            c = field.coerce(c)\n",
+        "",
+        ("tests/test_polys.py::test_whole_fraction_coefficients_equal_int_ones",),
+    ),
+    (
         "main_exits_0_on_a_failed_check",
         "cli.py",
         "    return EXIT_OK if ok else EXIT_VIOLATION\n",

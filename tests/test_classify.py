@@ -29,7 +29,7 @@ from beideals import (
     rows_to_json,
     violations,
 )
-from helpers import classify_labeled, projective_plane_generators
+from helpers import classify_labeled, has_edge, projective_plane_generators
 
 CLAW_ID = "4-0b"
 C4_ID = "4-1e"
@@ -108,8 +108,8 @@ def test_closed_rows_have_fpt_two(rows5):
 
 def is_simplicial(g, v):
     """Whether the neighbours of v are pairwise adjacent."""
-    nbrs = [u for u in range(1, g.n + 1) if g.has_edge(u, v)]
-    return all(g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2))
+    nbrs = [u for u in range(1, g.n + 1) if has_edge(g, u, v)]
+    return all(has_edge(g, a, b) for a, b in itertools.combinations(nbrs, 2))
 
 
 def test_fpt_two_with_x_n_and_y_1_absent_exactly_when_the_ends_are_simplicial():
@@ -181,6 +181,36 @@ def test_dimension_column(rows5):
 def test_classify_graph_matches_range_row(rows5):
     row = classify_graph(Graph(3, [(1, 2), (2, 3)]))
     assert row == next(r for r in rows5 if r.graph_id == "3-3")
+
+
+def test_rows_do_not_depend_on_the_input_labeling(classification_rows):
+    # classify_graph labels the class itself, so a relabeled class gives
+    # the same row, id included
+    rows = {r.graph_id: r for r in classification_rows}
+    rng = random.Random(1)
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            row = rows[graph_id(g)]
+            for _ in range(3):
+                sigma = list(range(1, n + 1))
+                rng.shuffle(sigma)
+                assert classify_graph(relabel(g, sigma)) == row, (g.edges, sigma)
+
+
+def test_classify_graph_runs_one_canonical_search(monkeypatch):
+    # the search that labels the class also gives the id
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    calls = []
+    search = beideals.graphs._canonical_search
+
+    def counting(adj):
+        calls.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(beideals.graphs, "_canonical_search", counting)
+    for g in graphs:
+        classify_graph(relabel(g, range(g.n, 0, -1)))
+    assert len(calls) == len(graphs)
 
 
 def test_classify_graph_reads_the_path_search_masks(monkeypatch, rows5):

@@ -81,6 +81,22 @@ def test_gb_bad_field_spec(p3, capsys):
     assert main(["gb", p3, "--field", "zz"]) == 2
 
 
+def test_huge_prime_is_refused_before_trial_division(p3, monkeypatch, capsys):
+    # trial division up to sqrt(2^61 - 1) runs for minutes; the size bound
+    # comes first, so factoring never sees a number past it
+    factors = beideals.fields._prime_factors
+
+    def bounded(q):
+        assert q <= 2**31, f"trial division of {q}"
+        return factors(q)
+
+    monkeypatch.setattr(beideals.fields, "_prime_factors", bounded)
+    with pytest.raises(ValueError, match="prime too large"):
+        beideals.GF(2**61 - 1)
+    assert main(["gb", p3, "--field", "fp:2305843009213693951"]) == 2
+    assert "prime too large" in capsys.readouterr().err
+
+
 def test_initial_lists_minimal_monomials(tmp_path, capsys):
     graph = write_graph(tmp_path, "p132.json", 3, [(1, 3), (2, 3)])
     assert main(["initial", graph]) == 0

@@ -34,7 +34,7 @@ from beideals.edgeideals import _fedder_factors, _initial_masks
 from beideals.graphs import LimitExceededError, _all_graphs_up_to_iso
 from beideals.polys import EXP_MASK
 from beideals.simplicial import support_masks
-from helpers import complete_graph, first_open_relabeling, pair_power_product, path_graph
+from helpers import complete_graph, first_open_relabeling, has_edge, pair_power_product, path_graph
 from test_groebner import is_groebner_basis
 from tuple_polys import mono_divides, mono_is_squarefree
 
@@ -452,7 +452,7 @@ def swap_congruence_holds(g, vertices, pos, p):
     if not 1 <= pos <= len(seq) - 3:
         raise ValueError(f"swap position {pos} has no neighbor on each side")
     a, b = seq[pos], seq[pos + 1]
-    if not g.has_edge(a, b):
+    if not has_edge(g, a, b):
         raise ValueError(f"swapped pair ({a}, {b}) is not an edge")
     swapped = seq[:pos] + (b, a) + seq[pos + 2:]
     ctx = PolyContext(g.n, GF(p))

@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -132,3 +133,6 @@ def test_mutants_target_text_that_occurs_once():
         for node in tests:
             path, test = node.split("::")
             assert f"def {test}(" in (ROOT / path).read_text(), (name, node)
+    # and README states how many there are
+    stated = re.search(r"\((\d+) mutants,", (ROOT / "README.md").read_text())
+    assert stated and int(stated.group(1)) == len(mutants.MUTANTS)

@@ -17,7 +17,7 @@ def random_poly(ctx, rng, nterms=4, maxdeg=2):
         for _ in range(maxdeg):
             exps[rng.randrange(ctx.nvars)] += 1
         c = rng.randint(-5, 5)
-        f = f + Polynomial(ctx, {pack(ctx, exps): ctx.field.coerce(c)})
+        f = f + Polynomial(ctx, {pack(ctx, exps): c})
     return f
 
 
@@ -298,16 +298,23 @@ def test_mixed_context_rejected():
 
 
 def test_whole_fraction_coefficients_equal_int_ones():
+    # arithmetic may leave a whole number as a Fraction
     ctx = PolyContext(2, QQ)
     key = ctx.monomial(x1=1, y2=1)
-    as_fraction = Polynomial(ctx, {key: Fraction(3), 0: Fraction(-3)})
+    as_fraction = (ctx.x(1) * ctx.y(2) - ctx.one()).scale(Fraction(3, 2)) * 2
     as_int = Polynomial(ctx, {key: 3, 0: -3})
     assert type(as_fraction.lc()) is Fraction and type(as_int.lc()) is int
     assert as_fraction == as_int
     assert hash(as_fraction) == hash(as_int)
     assert format_poly(as_fraction) == format_poly(as_int) == "3*x1*y2 - 3"
+    # the constructor coerces every coefficient, so it never keeps one
+    built = Polynomial(ctx, {key: Fraction(3), 0: Fraction(-3)})
+    assert built.terms == {key: 3, 0: -3} and {type(c) for c in built.terms.values()} == {int}
     from_bool = Polynomial(ctx, {key: True})
     assert from_bool.lc() == 1 and type(from_bool.lc()) is int
+    f3 = PolyContext(1, GF(3))
+    one = Polynomial(f3, {0: True})
+    assert one == f3.one() and type(one.lc()) is int and str(one) == "1"
 
 
 # printing and parsing -------------------------------------------------
