@@ -14,12 +14,16 @@ the colon criterion (ideal^[p] : ideal) versus m^[p].  Over F_p the
 binomial coefficient C(p-1, a) is (-1)^a, so f_{k,k+1}^(p-1) is the sum
 of (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a over a = 0..p-1, every
 coefficient 1; ``_fedder_factors`` writes these keys down and the witness
-is their sum set, with no polynomial multiplication.
+is their sum set, with no polynomial multiplication.  Both depend on (n, p)
+alone and are built once per (n, p), so certificates share them.  The basis
+of I^[p] is written down too: ``_bracket_rows`` turns each admissible path
+into its p-th power's division row, with no basis built first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import GF, QQ
 from .graphs import (
@@ -30,7 +34,7 @@ from .graphs import (
     is_closed_with_labeling,
     is_connected,
 )
-from .groebner import IdealBasis, _divide, _division_table, frobenius_power, not_in_bracket_m
+from .groebner import IdealBasis, _divide, not_in_bracket_m
 from .polys import EXP_LIMIT, Polynomial, PolyContext, _check_exponents
 
 
@@ -152,12 +156,16 @@ def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polyno
 
 # Most terms a Fedder witness may have: p^(n-1) reaches it at P_17 for p = 2.
 WITNESS_LIMIT = 1 << 16
+# Most (n, p) whose witness ``_fedder_factors`` keeps: a sweep over n <= 7
+# at p = 2, 3, 5 needs 18.
+FEDDER_CACHE_SIZE = 20
 
 
+@lru_cache(maxsize=FEDDER_CACHE_SIZE)
 def _fedder_factors(ctx: PolyContext) -> tuple:
     """(factors, witness) over F_p, p the characteristic of ``ctx``.
 
-    ``factors[k - 1]`` lists the p keys of f_{k,k+1}^(p-1), the key of
+    ``factors[k - 1]`` holds the p keys of f_{k,k+1}^(p-1), the key of
     (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a for a = 0..p-1, each with
     coefficient C(p-1, a) (-1)^a = 1 in F_p.  The witness is their product:
     its terms are the sums of one key from each factor, all distinct,
@@ -166,6 +174,13 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
     exponent reaches p - 1 for n = 2 and 2(p - 1) otherwise; where that is
     2^15 or more, ValueError is raised, and ``LimitExceededError`` where
     p^(n-1) exceeds ``WITNESS_LIMIT``, both before any term is built.
+
+    Both depend on (n, p) alone, so the last 20 contexts asked for
+    (``FEDDER_CACHE_SIZE``) keep theirs, and every certificate with the same
+    (n, p) shares one witness and one tuple of factors; both are immutable,
+    since every caller gets the same objects.  The largest witness, 2^16
+    terms at n = 17 and p = 2, holds 8.8 MiB (tracemalloc), so the cache
+    holds at most about 175 MiB.
     """
     n, p, shift = ctx.n, ctx.field.char, ctx.shift
     if (p - 1 if n == 2 else 2 * (p - 1)) >= EXP_LIMIT:
@@ -176,11 +191,33 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
     for k in range(1, n):
         lead = (1 << shift(k - 1)) + (1 << shift(n + k))  # x_k * y_{k+1}
         trail = (1 << shift(k)) + (1 << shift(n + k - 1))  # x_{k+1} * y_k
-        factors.append([(p - 1 - a) * lead + a * trail for a in range(p)])
+        factors.append(tuple((p - 1 - a) * lead + a * trail for a in range(p)))
     keys = [0]
     for terms in factors:
         keys = [m + t for m in keys for t in terms]
-    return factors, Polynomial._wrap(ctx, dict.fromkeys(keys, 1))
+    return tuple(factors), Polynomial._wrap(ctx, dict.fromkeys(keys, 1))
+
+
+def _bracket_rows(ctx: PolyContext, g: Graph) -> list:
+    """The division table of the reduced lex basis of I^[p], p the
+    characteristic of ``ctx``, written from the admissible paths of g.
+
+    That basis is the termwise p-th power of ``admissible_groebner_basis``
+    (see ``fedder_check``), so the path (i, ..., j) with u-support s gives
+    the monic row (p(u + x_i y_j), [(p(u + x_j y_i), 1)]): the tail's
+    coefficient is 1 = -(-1), the negated coefficient of u x_j y_i.  Rows
+    are sorted by (degree, leading monomial), as ``IdealBasis`` sorts.
+    Every exponent is p or 0, below 2^15 whenever the witness fits.
+    """
+    p = ctx.field.char
+    rows = []
+    for i, j, paths in _pair_paths(g):
+        lead, trail = edge_binomial(ctx, i, j).terms  # x_i * y_j, x_j * y_i
+        for _, support in paths:
+            u = _packed(ctx, support)
+            rows.append((p * (u + lead), [(p * (u + trail), 1)]))
+    rows.sort(key=lambda row: (ctx.degree(row[0]), row[0]))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -236,10 +273,13 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     injective ring map that keeps lex order on monomials and fixes F_p, so
     it maps S-polynomials to S-polynomials and standard representations to
     standard representations, and a power of a reduced basis stays reduced.
+    ``_bracket_rows`` writes that basis's division rows straight from the
+    admissible paths, in the order ``IdealBasis`` would give them.
 
     The witness and its factors F_k = f_{k,k+1}^(p-1) come from the closed
-    form of ``_fedder_factors``, which raises ``LimitExceededError`` past
-    ``WITNESS_LIMIT`` terms before the basis is built.  Each membership is
+    form of ``_fedder_factors``, built once per (n, p) and shared by every
+    certificate with that n and p.  It raises ``LimitExceededError`` past
+    ``WITNESS_LIMIT`` terms before any row is written.  Each membership is
     decided by stepwise normal forms instead of one division of
     witness * f_ij: starting from r = f_ij, the loop sets r = NF(r * F_k)
     one factor at a time and stops as soon as r is zero.  This is exact
@@ -263,8 +303,7 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
         )
     ctx = PolyContext(g.n, GF(p))
     factors, witness = _fedder_factors(ctx)
-    basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
-    table = _division_table(frobenius_power(basis, p).polys)
+    table = _bracket_rows(ctx, g)
     memberships = {}
     for i, j in g.sorted_edges():
         r = edge_binomial(ctx, i, j).terms

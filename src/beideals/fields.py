@@ -67,7 +67,12 @@ class RationalField:
 
 
 class PrimeField:
-    """F_p for a prime p; elements are the least nonnegative residues."""
+    """F_p for a prime p; elements are the least nonnegative residues.
+
+    Immutable: ``GF`` hands one instance per p to every caller, so an
+    assignment would change the field for all of them.  Pickling goes
+    through ``GF`` and gives that shared instance back.
+    """
 
     __slots__ = ("char",)
 
@@ -76,7 +81,13 @@ class PrimeField:
             raise ValueError(f"prime too large: {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        self.char = p
+        object.__setattr__(self, "char", p)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PrimeField is immutable")
+
+    def __reduce__(self):
+        return GF, (self.char,)
 
     def coerce(self, value):
         if isinstance(value, Fraction):

@@ -1,13 +1,16 @@
 """Graph builders, the edge test and labelings shared by the test files,
 the by-size face listings of restrictions that the homology tests compare
-against, the projection of integral homology to each field's ranks, and
-the product of edge-binomial powers that the Fedder tests multiply out."""
+against, the projection of integral homology to each field's ranks, the product
+of edge-binomial powers that the Fedder tests multiply out, and the basis
+of the bracket power I^[p] built from the public Groebner steps."""
 
 import itertools
 
-from beideals import Graph, PolyContext, Polynomial, canonical_form, edge_binomial, \
-    find_closed_labeling, is_closed_with_labeling, relabel
+from beideals import GF, Graph, IdealBasis, PolyContext, Polynomial, admissible_groebner_basis, \
+    canonical_form, edge_binomial, find_closed_labeling, frobenius_power, \
+    is_closed_with_labeling, relabel
 from beideals.betti import _ranks_over
+from beideals.groebner import _division_table
 from beideals.simplicial import _restriction, by_size
 
 
@@ -120,3 +123,18 @@ def pair_power_product(ctx: PolyContext, vertices, exponent: int) -> Polynomial:
         f = edge_binomial(ctx, a, b) if a < b else -edge_binomial(ctx, b, a)
         out = out * f**exponent
     return out
+
+
+def bracket_basis(g, p):
+    """(ring over F_p, reduced lex basis of I^[p]): the termwise p-th power
+    of the admissible-path basis, which ``fedder_check`` divides by."""
+    ctx = PolyContext(g.n, GF(p))
+    basis = IdealBasis(e.poly for e in admissible_groebner_basis(g, ctx.field))
+    return ctx, frobenius_power(basis, p)
+
+
+def bracket_table(g, p):
+    """Oracle for ``edgeideals._bracket_rows``: the division table of
+    ``bracket_basis``, composed from the basis, its Frobenius power, a
+    second ``IdealBasis`` and ``_division_table``."""
+    return _division_table(bracket_basis(g, p)[1].polys)

@@ -167,6 +167,20 @@ MUTANTS = (
         ("tests/test_polys.py::test_whole_fraction_coefficients_equal_int_ones",),
     ),
     (
+        "bracket_row_tail_without_frobenius",
+        "edgeideals.py",
+        "[(p * (u + trail), 1)]",
+        "[(u + trail, 1)]",
+        ("tests/test_edgeideals.py::test_bracket_rows_match_the_composed_table",),
+    ),
+    (
+        "fedder_factors_hands_out_a_list",
+        "edgeideals.py",
+        "    return tuple(factors), ",
+        "    return factors, ",
+        ("tests/test_package.py::test_cached_values_are_shared_and_unchangeable",),
+    ),
+    (
         "main_exits_0_on_a_failed_check",
         "cli.py",
         "    return EXIT_OK if ok else EXIT_VIOLATION\n",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -29,12 +30,13 @@ from beideals import (
     plucker_relation,
     relabel,
 )
-from beideals import edgeideals
-from beideals.edgeideals import _fedder_factors, _initial_masks
+from beideals import edgeideals, groebner
+from beideals.edgeideals import _bracket_rows, _fedder_factors, _initial_masks
 from beideals.graphs import LimitExceededError, _all_graphs_up_to_iso
 from beideals.polys import EXP_MASK
 from beideals.simplicial import support_masks
-from helpers import complete_graph, first_open_relabeling, has_edge, pair_power_product, path_graph
+from helpers import bracket_basis, bracket_table, classify_labeled, complete_graph, \
+    first_open_relabeling, has_edge, pair_power_product, path_graph
 from test_groebner import is_groebner_basis
 from tuple_polys import mono_divides, mono_is_squarefree
 
@@ -274,10 +276,11 @@ def test_witness_is_capped_before_the_basis_is_built(monkeypatch):
     assert edgeideals.WITNESS_LIMIT == 2 ** 16
     assert fedder_check(path_graph(17), 2).valid
 
-    def no_basis(*args):
-        raise AssertionError("the basis was built before the witness was sized")
+    def no_rows(*args):
+        raise AssertionError("a row was written before the witness was sized")
 
-    monkeypatch.setattr(edgeideals, "admissible_groebner_basis", no_basis)
+    monkeypatch.setattr(edgeideals, "_bracket_rows", no_rows)
+    monkeypatch.setattr(edgeideals, "_pair_paths", no_rows)
     with pytest.raises(LimitExceededError, match="capped at 65536 terms, got 2\\^17"):
         fedder_check(path_graph(18), 2)
     with pytest.raises(LimitExceededError, match="got 3\\^11"):
@@ -291,9 +294,10 @@ def test_stepwise_products_check_their_exponents(monkeypatch):
     real = edgeideals._fedder_factors
 
     def swapped(ctx):
+        # a copy: the cached factors are shared by every later certificate
         factors, witness = real(ctx)
-        factors[0][0] = EXP_MASK << ctx.shift(0)
-        return factors, witness
+        first = (EXP_MASK << ctx.shift(0), *factors[0][1:])
+        return (first, *factors[1:]), witness
 
     monkeypatch.setattr(edgeideals, "_fedder_factors", swapped)
     with pytest.raises(ValueError, match="2\\^15"):
@@ -320,19 +324,12 @@ def test_frobenius_of_admissible_basis_is_the_bracket_basis():
             labelings = [relabel(g, sigma) if sigma else g, first_open_relabeling(g)]
             for h in filter(None, labelings):
                 for p in (2, 3, 5):
-                    fld = GF(p)
-                    basis = IdealBasis(e.poly for e in admissible_groebner_basis(h, fld))
-                    want = buchberger(frobenius_power(edge_ideal_generators(PolyContext(n, fld), h), p))
-                    assert frobenius_power(basis, p).polys == want.polys, (h.edges, p)
+                    ctx, bracket = bracket_basis(h, p)
+                    want = buchberger(frobenius_power(edge_ideal_generators(ctx, h), p))
+                    assert bracket.polys == want.polys, (h.edges, p)
                     cases += 1
     # 30 classes under classify's labeling; all but K_2, K_3, K_4 and K_5 also open
     assert cases == 3 * (30 + 26)
-
-
-def bracket_basis(h, p):
-    ctx = PolyContext(h.n, GF(p))
-    basis = IdealBasis(e.poly for e in admissible_groebner_basis(h, ctx.field))
-    return ctx, frobenius_power(basis, p)
 
 
 def full_product_memberships(h, p):
@@ -354,6 +351,56 @@ def closed_labelings(orders):
             sigma = find_closed_labeling(g)
             if sigma is not None:
                 yield relabel(g, sigma)
+
+
+def test_bracket_rows_match_the_composed_table():
+    # _bracket_rows writes the rows that the basis, its Frobenius power and
+    # _division_table give, in their order; the oracle's tail coefficient is
+    # 1 - p, the written one 1, equal mod p
+    cases = 0
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            for h in filter(None, (classify_labeled(g), first_open_relabeling(g))):
+                for p in (2, 3, 5):
+                    ctx = PolyContext(n, GF(p))
+                    rows, want = _bracket_rows(ctx, h), bracket_table(h, p)
+                    assert [lm for lm, _ in rows] == [lm for lm, _ in want], (h.edges, p)
+                    for (_, tail), (_, old) in zip(rows, want):
+                        assert [m for m, _ in tail] == [m for m, _ in old], (h.edges, p)
+                        assert all((c - d) % p == 0 for (_, c), (_, d) in zip(tail, old))
+                    cases += 1
+    # 142 classes with n <= 6, all but the complete graphs also relabeled open
+    assert cases == 3 * (142 + 142 - 5)
+
+
+def test_fedder_check_builds_no_basis(monkeypatch):
+    def fail(*args):
+        raise AssertionError("fedder_check built a basis")
+
+    names = ("admissible_groebner_basis", "IdealBasis", "frobenius_power", "_division_table")
+    for module in (edgeideals, groebner):
+        for name in names:
+            monkeypatch.setattr(module, name, fail, raising=False)
+    assert fedder_check(path_graph(4), 3).valid
+
+
+def test_certificates_with_the_same_n_and_p_share_the_witness():
+    assert fedder_check(path_graph(4), 3).witness is fedder_check(complete_graph(4), 3).witness
+    assert fedder_check(path_graph(4), 3).witness is not fedder_check(path_graph(4), 2).witness
+
+
+def test_witness_cache_holds_a_sweep_without_evicting():
+    # the bound is one constant, and the docstring states it
+    maxsize = _fedder_factors.cache_info().maxsize
+    assert maxsize == edgeideals.FEDDER_CACHE_SIZE
+    assert re.search(r"the last (\d+) contexts", _fedder_factors.__doc__).group(1) == str(maxsize)
+    _fedder_factors.cache_clear()
+    contexts = [PolyContext(n, GF(p)) for n in range(2, 8) for p in (2, 3, 5)]
+    first = [_fedder_factors(ctx) for ctx in contexts]
+    again = [_fedder_factors(ctx) for ctx in contexts]
+    assert all(a is b for a, b in zip(first, again))
+    info = _fedder_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (18, 18, 18)
 
 
 def test_stepwise_memberships_match_full_product():

@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -136,3 +137,52 @@ def test_mutants_target_text_that_occurs_once():
     # and README states how many there are
     stated = re.search(r"\((\d+) mutants,", (ROOT / "README.md").read_text())
     assert stated and int(stated.group(1)) == len(mutants.MUTANTS)
+
+
+def assert_unchangeable(obj, path="value"):
+    """Nothing reachable from ``obj`` can be changed in place: tuples and
+    frozensets hold such values, and every other object refuses assignment
+    to its own attributes.  A Polynomial refuses assignment but keeps its
+    terms in a plain dict that only its own code promises not to write, so
+    the walk stops at the Polynomial."""
+    if isinstance(obj, int):
+        return
+    if isinstance(obj, (tuple, frozenset)):
+        for k, item in enumerate(obj):
+            assert_unchangeable(item, f"{path}[{k}]")
+        return
+    assert not isinstance(obj, (list, dict, set, bytearray)), f"{path} is a {type(obj).__name__}"
+    slots = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
+    names = [*getattr(obj, "__dict__", {}), *slots]
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            setattr(obj, name, value)
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError(f"{path}.{name} can be assigned")
+        if not isinstance(obj, beideals.Polynomial):
+            assert_unchangeable(value, f"{path}.{name}")
+
+
+def test_cached_values_are_shared_and_unchangeable():
+    # an lru_cache hands the same object to every caller, so a caller that
+    # changed it would change every later call's result
+    small = {
+        "GF": (3,),
+        "_all_graphs_up_to_iso": (4,),
+        "subset_lattice": (3,),
+        "_fedder_factors": (beideals.PolyContext(3, beideals.GF(3)),),
+    }
+    cached = {}
+    for info in pkgutil.iter_modules(beideals.__path__):
+        for name, obj in vars(importlib.import_module(f"beideals.{info.name}")).items():
+            if hasattr(obj, "cache_info"):
+                cached[name] = obj
+    for name in sorted(cached):
+        assert name in small, f"give the cached {name} a small input here"
+        first = cached[name](*small[name])
+        assert cached[name](*small[name]) is first, name
+        assert_unchangeable(first, name)
+    assert sorted(cached) == sorted(small)

@@ -1,5 +1,6 @@
 """Coefficient fields, monomial order, polynomial arithmetic, text format."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -91,6 +92,14 @@ def test_field_equality_and_hash():
     assert GF(3) != GF(5)
     assert QQ == type(QQ)()
     assert hash(GF(3)) == hash(GF(3))
+
+
+def test_prime_fields_are_shared_and_survive_pickling():
+    # GF hands one instance per p to every caller, so none may change it
+    with pytest.raises(AttributeError):
+        GF(3).char = 5
+    assert GF(3).char == 3
+    assert pickle.loads(pickle.dumps(GF(3))) is GF(3)
 
 
 def test_field_contract_is_char_coerce_inv():
