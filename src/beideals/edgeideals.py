@@ -15,15 +15,17 @@ binomial coefficient C(p-1, a) is (-1)^a, so f_{k,k+1}^(p-1) is the sum
 of (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a over a = 0..p-1, every
 coefficient 1; ``_fedder_factors`` writes these keys down and the witness
 is their sum set, with no polynomial multiplication.  Both depend on (n, p)
-alone and are built once per (n, p), so certificates share them.  The basis
-of I^[p] is written down too: ``_bracket_rows`` turns each admissible path
-into its p-th power's division row, with no basis built first.
+alone and are built once per (n, p), so certificates share them; the
+witness's terms are read-only.  The basis of I^[p] is written down too:
+``_bracket_rows`` turns each admissible path into its p-th power's
+division row, with no basis built first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .fields import GF, QQ
 from .graphs import (
@@ -177,10 +179,11 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
 
     Both depend on (n, p) alone, so the last 20 contexts asked for
     (``FEDDER_CACHE_SIZE``) keep theirs, and every certificate with the same
-    (n, p) shares one witness and one tuple of factors; both are immutable,
-    since every caller gets the same objects.  The largest witness, 2^16
-    terms at n = 17 and p = 2, holds 8.8 MiB (tracemalloc), so the cache
-    holds at most about 175 MiB.
+    (n, p) shares one witness and one tuple of factors.  Both are immutable,
+    since every caller gets the same objects: the factors are tuples and the
+    witness's terms a read-only ``MappingProxyType``.  The largest witness,
+    2^16 terms at n = 17 and p = 2, holds 8.8 MiB (tracemalloc), so the
+    cache holds at most about 175 MiB.
     """
     n, p, shift = ctx.n, ctx.field.char, ctx.shift
     if (p - 1 if n == 2 else 2 * (p - 1)) >= EXP_LIMIT:
@@ -195,7 +198,7 @@ def _fedder_factors(ctx: PolyContext) -> tuple:
     keys = [0]
     for terms in factors:
         keys = [m + t for m in keys for t in terms]
-    return tuple(factors), Polynomial._wrap(ctx, dict.fromkeys(keys, 1))
+    return tuple(factors), Polynomial._wrap(ctx, MappingProxyType(dict.fromkeys(keys, 1)))
 
 
 def _bracket_rows(ctx: PolyContext, g: Graph) -> list:

@@ -181,6 +181,21 @@ MUTANTS = (
         ("tests/test_package.py::test_cached_values_are_shared_and_unchangeable",),
     ),
     (
+        "fedder_witness_terms_in_a_plain_dict",
+        "edgeideals.py",
+        "Polynomial._wrap(ctx, MappingProxyType(dict.fromkeys(keys, 1)))",
+        "Polynomial._wrap(ctx, dict.fromkeys(keys, 1))",
+        ("tests/test_edgeideals.py::test_the_shared_witness_cannot_be_changed_in_place",
+         "tests/test_package.py::test_cached_values_are_shared_and_unchangeable"),
+    ),
+    (
+        "fedder_witness_drops_the_last_factor",
+        "edgeideals.py",
+        "    for terms in factors:\n",
+        "    for terms in factors[:-1]:\n",
+        ("tests/test_edgeideals.py::test_closed_form_witness_matches_product",),
+    ),
+    (
         "main_exits_0_on_a_failed_check",
         "cli.py",
         "    return EXIT_OK if ok else EXIT_VIOLATION\n",

@@ -13,6 +13,7 @@ from beideals import (
     IdealBasis,
     NotClosedError,
     PolyContext,
+    Polynomial,
     admissible_groebner_basis,
     admissible_paths,
     buchberger,
@@ -401,6 +402,19 @@ def test_witness_cache_holds_a_sweep_without_evicting():
     assert all(a is b for a, b in zip(first, again))
     info = _fedder_factors.cache_info()
     assert (info.hits, info.misses, info.currsize) == (18, 18, 18)
+
+
+def test_the_shared_witness_cannot_be_changed_in_place():
+    # every certificate with this n and p holds the same witness
+    w = fedder_check(path_graph(3), 2).witness
+    with pytest.raises(AttributeError):
+        w.terms.clear()
+    with pytest.raises(TypeError):
+        w.terms[0] = 1
+    assert len(fedder_check(complete_graph(3), 2).witness.terms) == 4
+    assert fedder_check(path_graph(3), 2).valid
+    # read-only terms still take part in arithmetic and comparison
+    assert w == Polynomial(w.ctx, dict(w.terms)) and not w - w
 
 
 def test_stepwise_memberships_match_full_product():

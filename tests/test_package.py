@@ -142,9 +142,8 @@ def test_mutants_target_text_that_occurs_once():
 def assert_unchangeable(obj, path="value"):
     """Nothing reachable from ``obj`` can be changed in place: tuples and
     frozensets hold such values, and every other object refuses assignment
-    to its own attributes.  A Polynomial refuses assignment but keeps its
-    terms in a plain dict that only its own code promises not to write, so
-    the walk stops at the Polynomial."""
+    to its own attributes.  A read-only ``MappingProxyType``, in which the
+    shared Fedder witness keeps its terms, has no attributes to assign."""
     if isinstance(obj, int):
         return
     if isinstance(obj, (tuple, frozenset)):
@@ -162,8 +161,7 @@ def assert_unchangeable(obj, path="value"):
             pass
         else:
             raise AssertionError(f"{path}.{name} can be assigned")
-        if not isinstance(obj, beideals.Polynomial):
-            assert_unchangeable(value, f"{path}.{name}")
+        assert_unchangeable(value, f"{path}.{name}")
 
 
 def test_cached_values_are_shared_and_unchangeable():
