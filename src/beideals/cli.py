@@ -177,8 +177,6 @@ def cmd_closed(args):
 
 
 def cmd_fedder(args):
-    if args.p not in (2, 3, 5):
-        raise ValueError("supported primes are 2, 3 and 5")
     if args.out:
         _check_writable(pathlib.Path(args.out))
     cert = fedder_check(args.graph, args.p, force=args.force)
@@ -233,7 +231,10 @@ def cmd_weight(args):
 
 def cmd_plucker(args):
     fld = _parse_field(args.field)
-    ctx = PolyContext(args.n, fld)
+    # The identity uses no variable past x_l and y_l, so a ring of l vertices
+    # gives the value; the ring of N is built only to refuse bad indices.
+    fits = 1 <= args.i < args.l <= args.n
+    ctx = PolyContext(args.l if fits else args.n, fld)
     value = plucker_relation(ctx, args.i, args.j, args.k, args.l)
     return None, [format_poly(value)], value.is_zero()
 

@@ -98,25 +98,33 @@ def _packed(ctx: PolyContext, support: int) -> int:
     return sum(1 << ctx.shift(v) for v in _bits(support))
 
 
+def _basis_keys(ctx: PolyContext, g: Graph) -> list:
+    """(path, lead, trail) for each admissible path (i, ..., j) of g: the
+    packed keys of u * x_i * y_j and u * x_j * y_i, sorted by (degree,
+    lead) as ``IdealBasis`` sorts; the degree is len(path)."""
+    n, shift = ctx.n, ctx.shift
+    keys = []
+    for i, j, paths in _pair_paths(g):
+        lead = (1 << shift(i - 1)) + (1 << shift(n + j - 1))  # x_i * y_j
+        trail = (1 << shift(j - 1)) + (1 << shift(n + i - 1))  # x_j * y_i
+        for path, support in paths:
+            u = _packed(ctx, support)
+            keys.append((path, u + lead, u + trail))
+    keys.sort(key=lambda key: (len(key[0]), key[1]))
+    return keys
+
+
 def admissible_groebner_basis(g: Graph, fld=QQ) -> list:
     """The lex Groebner basis of the edge ideal, one element per admissible path.
 
     Elements come out sorted by (total degree, leading monomial); each is
     monic with leading monomial u * x_i * y_j, so it is a divisor as it
-    stands.  The two terms of f_ij come from ``edge_binomial`` once per
-    pair, and each path's u shifts them; for the edge {i, j} itself u = 1.
+    stands.  Its two terms are ``_basis_keys``' lead and trail, u * f_ij
+    written straight from the path; for the edge {i, j} itself u = 1.
     """
     ctx = PolyContext(g.n, fld)
-    elems = []
-    for i, j, paths in _pair_paths(g):
-        f = edge_binomial(ctx, i, j)
-        (pos, one), (neg, minus_one) = f.terms.items()
-        for path, support in paths:
-            u = _packed(ctx, support)
-            poly = Polynomial._from_sums(ctx, {u + pos: one, u + neg: minus_one}) if u else f
-            elems.append(GroebnerElement(path, poly))
-    elems.sort(key=lambda e: (len(e.path), e.poly.lm()))  # the degree is len(path)
-    return elems
+    return [GroebnerElement(path, Polynomial._from_sums(ctx, {lead: 1, trail: -1}))
+            for path, lead, trail in _basis_keys(ctx, g)]
 
 
 def initial_ideal_generators(g: Graph) -> list:
@@ -206,21 +214,15 @@ def _bracket_rows(ctx: PolyContext, g: Graph) -> list:
     characteristic of ``ctx``, written from the admissible paths of g.
 
     That basis is the termwise p-th power of ``admissible_groebner_basis``
-    (see ``fedder_check``), so the path (i, ..., j) with u-support s gives
-    the monic row (p(u + x_i y_j), [(p(u + x_j y_i), 1)]): the tail's
-    coefficient is 1 = -(-1), the negated coefficient of u x_j y_i.  Rows
-    are sorted by (degree, leading monomial), as ``IdealBasis`` sorts.
-    Every exponent is p or 0, below 2^15 whenever the witness fits.
+    (see ``fedder_check``), so each of its ``_basis_keys`` gives the monic
+    row (p * lead, [(p * trail, 1)]): the tail's coefficient is 1 = -(-1),
+    the negated coefficient of u x_j y_i.  The keys' order is the order of
+    (degree, leading monomial) that ``IdealBasis`` sorts by, since the
+    degree scales by p and multiplying by p keeps lex order.  Every
+    exponent is p or 0, below 2^15 whenever the witness fits.
     """
     p = ctx.field.char
-    rows = []
-    for i, j, paths in _pair_paths(g):
-        lead, trail = edge_binomial(ctx, i, j).terms  # x_i * y_j, x_j * y_i
-        for _, support in paths:
-            u = _packed(ctx, support)
-            rows.append((p * (u + lead), [(p * (u + trail), 1)]))
-    rows.sort(key=lambda row: (ctx.degree(row[0]), row[0]))
-    return rows
+    return [(p * lead, [(p * trail, 1)]) for _, lead, trail in _basis_keys(ctx, g)]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Monomials are the packed ints of ``polys``, so the heap holds negated keys
 and a divisibility test is one subtraction masked with the guard bits.
 A divisor has one form: a monic row (leading monomial, negated tail) of a
 division table built for one call and never kept, in ``buchberger`` from
-the first S-pair through interreduction.  The pending terms are a plain dict.
+the first generator through interreduction.  The pending terms are a plain
+dict.
 ``buchberger`` returns the reduced basis, which is unique for a given ideal
 and order; that uniqueness is what the ideal-equality checks elsewhere rely
 on.  It skips the S-pairs that the Gebauer-Moeller criteria (J. Symbolic
@@ -60,16 +61,18 @@ class IdealBasis:
         return self.polys[0].ctx
 
 
+def _row(ctx, terms) -> tuple:
+    """The division row (leading monomial, tail with negated coefficients)
+    of the nonzero polynomial with these reduced terms, made monic.  A
+    monic multiple of a divisor leaves the same remainder."""
+    field, lm = ctx.field, max(terms)
+    inv = field.inv(terms[lm])
+    return lm, [(m, -field.coerce(c * inv)) for m, c in terms.items() if m != lm]
+
+
 def _division_table(divisors) -> list:
-    """(leading monomial, tail with negated coefficients) for each divisor
-    made monic, in order.  A monic multiple of a divisor leaves the same
-    remainder, and the divisors the package builds are monic already."""
-    table = []
-    for b in divisors:
-        b = b.monic()
-        lm = b.lm()
-        table.append((lm, [(m, -c) for m, c in b.terms.items() if m != lm]))
-    return table
+    """The ``_row`` of each divisor, in order."""
+    return [_row(b.ctx, b.terms) for b in divisors]
 
 
 def _divide(ctx, pending: dict, table: list) -> dict:
@@ -170,37 +173,40 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(basis: IdealBasis) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by ``basis``.
 
-    The generators enter one at a time, and so does every nonzero remainder;
-    each entry runs the Gebauer-Moeller update (``_update``), which keeps
+    Every element enters one way.  The generators come first, in
+    ``IdealBasis`` order, then the S-pairs; each is divided by the rows
+    found so far, and a nonzero remainder joins the table as its monic
+    ``_row`` and runs the Gebauer-Moeller update (``_update``), which keeps
     only the new S-pairs the criteria cannot prove redundant.  A dropped
     pair's S-polynomial has a representation through pairs that are kept,
     so the basis found is still a Groebner basis, and the reduced basis
     made from it is the same: the reduced basis is unique for the ideal and
     the order.
-    Pairs are processed by (lcm degree, lcm, indices).  Every element is
-    kept only as its ``_division_table`` row: an S-pair is written from two
-    rows straight into the division's pending terms (``_s_pair``), and a
-    nonzero remainder joins the table as one more row.  The table holds
-    every element found, including those the update takes out of pair
-    generation, so each divisor's leading data is set up once per run.
+    A remainder's leading monomial is divisible by no earlier one, and the
+    update takes out of pair generation every active element whose leading
+    monomial the new one divides, so the active rows are a minimal basis
+    when the pairs run out, and ``_interreduce`` only reduces their tails.
+    Pairs are processed by (lcm degree, lcm, indices); an S-pair is written
+    from two rows straight into the division's pending terms (``_s_pair``).
+    The table holds every element found, including those the update takes
+    out of pair generation, so each divisor's row is built once per run.
     """
-    table = _division_table(basis.polys)
-    if not table:
+    if not basis.polys:
         return IdealBasis([])
     ctx = basis.ctx
-    leads = [lm for lm, _ in table]
-    pairs, active = [], []
-    for t in range(len(table)):
-        active = _update(ctx, leads, active, pairs, t)
-
-    while pairs:
-        _, lcm, a, b = heapq.heappop(pairs)
-        r = _divide(ctx, _s_pair(ctx, table[a], table[b], lcm), table)
-        if not r:
-            continue
-        table += _division_table([Polynomial._from_sums(ctx, r)])
-        leads.append(table[-1][0])
-        active = _update(ctx, leads, active, pairs, len(table) - 1)
+    gens = [dict(g.terms) for g in reversed(basis.polys)]  # popped in order
+    table, leads, pairs, active = [], [], [], []
+    while gens or pairs:
+        if gens:
+            pending = gens.pop()
+        else:
+            _, lcm, a, b = heapq.heappop(pairs)
+            pending = _s_pair(ctx, table[a], table[b], lcm)
+        r = _divide(ctx, pending, table)
+        if r:
+            table.append(_row(ctx, r))
+            leads.append(table[-1][0])
+            active = _update(ctx, leads, active, pairs, len(table) - 1)
 
     return IdealBasis(_interreduce(ctx, [table[k] for k in active]))
 
@@ -254,22 +260,15 @@ def _update(ctx, leads, active, pairs, t) -> list:
 
 
 def _interreduce(ctx, rows) -> list:
-    """The reduced basis, as Polynomials, from the monic rows of a Groebner
-    basis: the rows are made minimal by leading-monomial divisibility, and
-    each output is a kept row's leading monomial with coefficient 1 plus
-    its tail reduced against the kept rows.  A row's own leading monomial
-    never divides a term met while its tail is reduced: every such term is
-    lex-smaller than it.
+    """The reduced basis, as Polynomials, from the monic rows of a minimal
+    Groebner basis: each output is a row's leading monomial with
+    coefficient 1 plus its tail reduced against the rows.  A row's own
+    leading monomial never divides a term met while its tail is reduced:
+    every such term is lex-smaller than it.
     """
-    guard = ctx.guard
-    minimal = []
-    for row in sorted(rows, key=lambda row: (ctx.degree(row[0]), row[0])):
-        lm = row[0]
-        if all((lm - d) & guard for d, _ in minimal):
-            minimal.append(row)
     reduced = []
-    for lm, tail in minimal:
-        rest = _divide(ctx, {m: -c for m, c in tail}, minimal)
+    for lm, tail in rows:
+        rest = _divide(ctx, {m: -c for m, c in tail}, rows)
         rest[lm] = 1
         reduced.append(Polynomial._from_sums(ctx, rest))
     return reduced

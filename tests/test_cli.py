@@ -197,11 +197,17 @@ def test_closed_stderr_keeps_the_limit_code(tmp_path):
     assert run_behind_a_closed_pipe(["betti", p12], "stderr") == (3, b"")
 
 
-def test_fedder_prime_gates(p4, capsys):
-    assert main(["fedder", p4, "5"]) == 0
-    assert "certificate valid: yes" in capsys.readouterr().out
-    assert main(["fedder", p4, "7"]) == 2
-    assert "supported primes" in capsys.readouterr().err
+def test_fedder_prime_gates(tmp_path, p4, capsys):
+    # the library's refusals decide: any prime runs, a non-prime is bad
+    # input, and a witness past its cap is a size limit
+    for p in ("5", "7"):
+        assert main(["fedder", p4, p]) == 0
+        assert "certificate valid: yes" in capsys.readouterr().out
+    assert main(["fedder", p4, "4"]) == 2
+    assert "must be prime" in capsys.readouterr().err
+    p7 = write_graph(tmp_path, "p7.json", 7, [(k, k + 1) for k in range(1, 7)])
+    assert main(["fedder", p7, "7"]) == 3  # 7^6 witness terms, over 2^16
+    assert "capped at 65536 terms" in capsys.readouterr().err
 
 
 def test_fpt_output(p4, capsys):
@@ -244,6 +250,14 @@ def test_plucker_identity_vanishes(capsys):
 
 def test_plucker_rejects_bad_indices(capsys):
     assert main(["plucker", "1", "2", "3", "5", "4"]) == 2
+
+
+def test_plucker_ring_does_not_grow_with_n(capsys):
+    # the value is computed in a ring of l vertices, not of N
+    start = time.perf_counter()
+    assert main(["plucker", "1", "2", "3", "4", "1000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

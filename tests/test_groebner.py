@@ -21,11 +21,13 @@ from beideals import (
     is_closed_with_labeling,
     normal_form,
     not_in_bracket_m,
+    parse_poly,
     relabel,
     s_polynomial,
 )
 from beideals import groebner
 import tuple_polys
+from helpers import classify_labeled, first_open_relabeling
 from test_polys import random_poly
 from tuple_polys import from_packed, pack, to_packed
 
@@ -414,15 +416,53 @@ def test_s_pairs_reduced_over_small_classes(monkeypatch):
 def test_interreduce_matches_tuple_reference():
     ctx = PolyContext(2, QQ)
     x1, x2, y1, y2 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2)
+    # minimal rows, leads x2*y1 and x1*y2, but x2*y1 divides a term of f's tail
+    g = 3 * x2 * y1 + 5 * y2
+    f = 2 * x1 * y2 - 3 * x2 * y1 * y2 + y1 * y1
+    got = groebner._interreduce(ctx, groebner._division_table([g, f]))
+    want = tuple_polys._interreduce([from_packed(p) for p in (g, f)])
+    assert [from_packed(p) for p in got] == want
+    assert got[1] == x1 * y2 + Fraction(1, 2) * y1 * y1 + Fraction(5, 2) * y2 * y2
     f = 2 * x1 * y2 - 3 * x2 * y1 + y1 * y1
     g = x2 * y2 + 5 * y1 - y2
     polys = [f, 3 * f, x1 * f, g]  # a duplicate lead, a scalar multiple, a redundant multiple
-    got = groebner._interreduce(ctx, groebner._division_table(polys))
-    want = tuple_polys._interreduce([from_packed(p) for p in polys])
-    assert [from_packed(p) for p in got] == want
-    assert len(got) == 2
     gb = buchberger(IdealBasis(polys)).polys
     assert list(gb) == [to_packed(w) for w in tuple_polys.buchberger(map(from_packed, polys))]
+
+
+def test_interreduce_receives_a_minimal_basis(monkeypatch):
+    # every element enters buchberger as a remainder, so no row that reaches
+    # _interreduce has a leading monomial dividing another's
+    received = []
+    inner = groebner._interreduce
+
+    def recording(ctx, rows):
+        received.append([lm for lm, _ in rows])
+        return inner(ctx, rows)
+
+    monkeypatch.setattr(groebner, "_interreduce", recording)
+
+    def check(polys):
+        received.clear()
+        got = buchberger(IdealBasis(polys)).polys
+        assert list(got) == [to_packed(w) for w in tuple_polys.buchberger(map(from_packed, polys))]
+        (leads,) = received
+        guard = polys[0].ctx.guard
+        assert not [(a, b) for a in leads for b in leads if a != b and not (b - a) & guard]
+        assert len(leads) == len(got)
+
+    ctx = PolyContext(2, QQ)
+    x1, x2, y1, y2 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2)
+    f = 2 * x1 * y2 - 3 * x2 * y1 + y1 * y1
+    check([f, 3 * f, x1 * f, x2 * y2 + 5 * y1 - y2])
+    # inhomogeneous: an element found late has a lead dividing an earlier one
+    check([parse_poly(ctx, text) for text in ("2*x1*x2^2*y1^2*y2^2 + x2*y2^2 + y1*y2",
+                                              "x1^2*y1^2 + x1^2*y1*y2", "x1 + 2*y2^2")])
+    for n in range(2, 6):
+        for g in enumerate_connected_graphs(n):
+            for lab in filter(None, (classify_labeled(g), first_open_relabeling(g))):
+                for fld in (QQ, GF(2)):
+                    check(list(edge_basis(lab, fld).polys))
 
 
 def test_colon_contains_requires_marked_basis():
