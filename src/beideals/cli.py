@@ -231,11 +231,21 @@ def cmd_weight(args):
 
 def cmd_plucker(args):
     fld = _parse_field(args.field)
+    i, j, k, l, n = args.i, args.j, args.k, args.l, args.n
     # The identity uses no variable past x_l and y_l, so a ring of l vertices
-    # gives the value; the ring of N is built only to refuse bad indices.
-    fits = 1 <= args.i < args.l <= args.n
-    ctx = PolyContext(args.l if fits else args.n, fld)
-    value = plucker_relation(ctx, args.i, args.j, args.k, args.l)
+    # gives the value.  Indices outside 1 <= i < l <= N are refused from the
+    # numbers, in the words that PolyContext, plucker_relation and then
+    # edge_binomial give in the ring of N, which would take time and memory
+    # linear in N to build.
+    if not 1 <= i < l <= n:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if not i < j < k < l:
+            raise ValueError(f"indices must be strictly increasing, got {(i, j, k, l)}")
+        if l > n:
+            raise ValueError(f"index {l} out of range for n={n}")
+        raise ValueError(f"endpoints ({i}, {j}) out of range for n={n}")
+    value = plucker_relation(PolyContext(l, fld), i, j, k, l)
     return None, [format_poly(value)], value.is_zero()
 
 

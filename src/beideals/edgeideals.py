@@ -19,10 +19,22 @@ alone and are built once per (n, p), so certificates share them; the
 witness's terms are read-only.  The basis of I^[p] is written down too:
 ``_bracket_rows`` turns each admissible path into its p-th power's
 division row, with no basis built first.
+
+Most edge memberships are decided on a complete graph.  If the vertices
+i..j of an edge {i, j} are pairwise adjacent, the ring map phi with
+x_a -> x_{a+i-1}, y_a -> y_{a+i-1} sends f_{1m} of K_m (m = j - i + 1) to
+f_ij, the factor F_k = f_{k,k+1}^(p-1) of K_m to F_{k+i-1} of G, and the
+bracket power of K_m's ideal into that of the clique on i..j, hence into
+I^[p].  So f_{1m} * F_1 * ... * F_{m-1} in K_m's bracket power puts f_ij *
+F_i * ... * F_{j-1}, a divisor of f_ij times the witness, into I^[p].
+``_clique_membership`` decides that once per (m, p); under a closed
+labeling every edge's interval is a clique (closed graphs are the proper
+interval graphs).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -225,6 +237,55 @@ def _bracket_rows(ctx: PolyContext, g: Graph) -> list:
     return [(p * lead, [(p * trail, 1)]) for _, lead, trail in _basis_keys(ctx, g)]
 
 
+def _membership(ctx: PolyContext, factors: tuple, table: list, i: int, j: int) -> bool:
+    """Whether f_ij times the product of ``factors`` (``_fedder_factors``'
+    keys) reduces to zero by the division rows ``table``.
+
+    Stepwise normal forms instead of one division of the whole product:
+    starting from r = f_ij, the loop sets r = NF(r * F_k) one factor at a
+    time and stops as soon as r is zero.  This is exact because a - NF(a)
+    lies in the ideal, so NF(a * b) = NF(NF(a) * b), and once r is zero
+    every later product is zero too.  Each product r * F_k is written as
+    r's terms shifted by the p keys of F_k, all with coefficient 1,
+    straight into the division's pending terms, with no Polynomial in
+    between; its exponents are checked before it is divided.  The interval
+    factors k = i, ..., j - 1 come first, then the rest in order.
+    """
+    n, shift = ctx.n, ctx.shift
+    r = {(1 << shift(i - 1)) + (1 << shift(n + j - 1)): 1,  # x_i * y_j
+         (1 << shift(j - 1)) + (1 << shift(n + i - 1)): -1}  # x_j * y_i
+    for k in (*range(i, j), *range(1, i), *range(j, n)):
+        pending = {}
+        get = pending.get
+        for t in factors[k - 1]:
+            for m, c in r.items():
+                key = m + t
+                pending[key] = get(key, 0) + c
+        _check_exponents(ctx, pending)
+        r = _divide(ctx, pending, table)
+        if not r:
+            return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _clique_membership(m: int, p: int) -> bool:
+    """Whether f_{1m} * F_1 * ... * F_{m-1} lies in the bracket power of
+    K_m's edge ideal at the prime p: ``_membership`` on K_m's own ring,
+    rows and factors, for the edge {1, m}.
+
+    ``fedder_check`` translates a True to every edge {i, j} with j - i + 1
+    = m whose vertex interval is a clique (see the module docstring).  The
+    cache is unbounded, but its values are bools and its keys are few:
+    ``fedder_check`` asks only after G's witness fits, so m <= n <= 17
+    (p^(n-1) <= ``WITNESS_LIMIT`` = 2^16) and 2(p - 1) < 2^15 (p - 1 < 2^15
+    when m = n = 2), which leaves a few thousand pairs (m, p) at most.
+    """
+    ctx = PolyContext(m, GF(p))
+    k_m = Graph(m, itertools.combinations(range(1, m + 1), 2))
+    return _membership(ctx, _fedder_factors(ctx)[0], _bracket_rows(ctx, k_m), 1, m)
+
+
 @dataclass(frozen=True)
 class FedderCertificate:
     """Outcome of the F-purity check at a prime p.
@@ -284,18 +345,23 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     The witness and its factors F_k = f_{k,k+1}^(p-1) come from the closed
     form of ``_fedder_factors``, built once per (n, p) and shared by every
     certificate with that n and p.  It raises ``LimitExceededError`` past
-    ``WITNESS_LIMIT`` terms before any row is written.  Each membership is
-    decided by stepwise normal forms instead of one division of
-    witness * f_ij: starting from r = f_ij, the loop sets r = NF(r * F_k)
-    one factor at a time and stops as soon as r is zero.  This is exact
-    because a - NF(a) lies in I^[p], so NF(a * b) = NF(NF(a) * b), and once
-    r is zero every later product is zero too.  Each product r * F_k is
-    written as r's terms shifted by the p keys of F_k, all with
-    coefficient 1, straight into the division's pending terms, with no
-    Polynomial in between.  For an edge {i, j} the interval factors
-    k = i, ..., j - 1 come first: on every closed labeling with n <= 6 and
-    p <= 5, r reaches zero after exactly those j - i factors (observed, not
-    proved).
+    ``WITNESS_LIMIT`` terms before any row is written.
+
+    An edge {i, j} whose vertices i..j are pairwise adjacent is decided on
+    K_m, m = j - i + 1: the ring map phi with x_a -> x_{a+i-1},
+    y_a -> y_{a+i-1} (a = 1..m) sends f_{1m} to f_ij, K_m's F_k to G's
+    F_{k+i-1}, and p-th powers of K_m's generators to p-th powers of
+    generators of G's ideal, since J_{K[i..j]} lies in J_G.  So if
+    f_{1m} * F_1 * ... * F_{m-1} lies in K_m's bracket power,
+    f_ij * F_i * ... * F_{j-1}, which divides f_ij times the witness, lies
+    in I^[p].  ``_clique_membership`` decides that once per (m, p).  A True
+    there proves the membership; a False proves nothing about G, so that
+    edge, and every edge whose interval is not a clique, is decided by
+    ``_membership`` on G's own rows, written at most once per call.  Under
+    a closed labeling every interval is a clique.  ``_membership`` takes
+    the interval factors k = i, ..., j - 1 first: on every closed labeling
+    with n <= 6 and p <= 5, G's remainder reaches zero after exactly those
+    j - i factors (observed, not proved).
     """
     if not is_connected(g):
         raise ValueError("the check needs a connected graph")
@@ -308,22 +374,17 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
         )
     ctx = PolyContext(g.n, GF(p))
     factors, witness = _fedder_factors(ctx)
-    table = _bracket_rows(ctx, g)
-    memberships = {}
+    masks, table, memberships = g.masks, None, {}
     for i, j in g.sorted_edges():
-        r = edge_binomial(ctx, i, j).terms
-        for k in (*range(i, j), *range(1, i), *range(j, g.n)):
-            pending = {}
-            get = pending.get
-            for t in factors[k - 1]:
-                for m, c in r.items():
-                    key = m + t
-                    pending[key] = get(key, 0) + c
-            _check_exponents(ctx, pending)
-            r = _divide(ctx, pending, table)
-            if not r:
-                break
-        memberships[(i, j)] = not r
+        interval = (1 << j) - (1 << i - 1)  # the bits of vertices i..j
+        # a clique: each vertex of the interval misses only itself in it
+        if (all(interval & ~masks[v - 1] == 1 << v - 1 for v in range(i, j + 1))
+                and _clique_membership(j - i + 1, p)):
+            memberships[(i, j)] = True
+            continue
+        if table is None:
+            table = _bracket_rows(ctx, g)
+        memberships[(i, j)] = _membership(ctx, factors, table, i, j)
     return FedderCertificate(
         n=g.n,
         p=p,

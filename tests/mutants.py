@@ -196,6 +196,22 @@ MUTANTS = (
         ("tests/test_edgeideals.py::test_closed_form_witness_matches_product",),
     ),
     (
+        "clique_path_skips_the_interval_test",
+        "edgeideals.py",
+        "        if (all(interval & ~masks[v - 1] == 1 << v - 1 for v in range(i, j + 1))\n",
+        "        if (True\n",
+        ("tests/test_edgeideals.py::test_stepwise_memberships_match_full_product",),
+    ),
+    (
+        "clique_false_taken_as_final",
+        "edgeideals.py",
+        "                and _clique_membership(j - i + 1, p)):\n"
+        "            memberships[(i, j)] = True\n",
+        "                ):\n"
+        "            memberships[(i, j)] = _clique_membership(j - i + 1, p)\n",
+        ("tests/test_edgeideals.py::test_a_false_clique_membership_falls_back_to_the_graph",),
+    ),
+    (
         "main_exits_0_on_a_failed_check",
         "cli.py",
         "    return EXIT_OK if ok else EXIT_VIOLATION\n",

@@ -1,6 +1,8 @@
 """End-to-end command line tests, driven in process through main(argv),
 apart from three that run the CLI as a child process behind a closed pipe."""
 
+import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -11,7 +13,8 @@ import time
 import pytest
 
 import beideals
-from beideals import IdealBasis, buchberger
+from beideals import QQ, IdealBasis, PolyContext, buchberger, format_poly, plucker_relation
+from beideals import cli
 from beideals.cli import main
 
 
@@ -258,6 +261,40 @@ def test_plucker_ring_does_not_grow_with_n(capsys):
     assert main(["plucker", "1", "2", "3", "4", "1000000000"]) == 0
     assert capsys.readouterr().out.strip() == "0"
     assert time.perf_counter() - start < 1.0
+
+
+def test_plucker_refuses_bad_indices_from_the_numbers(monkeypatch, capsys):
+    # each refusal reads as the library words it in the ring of N, but no
+    # ring larger than l is built, so a large N costs nothing
+    sizes = []
+
+    def recorded(n, fld):
+        sizes.append(n)
+        return PolyContext(n, fld)
+
+    monkeypatch.setattr(cli, "PolyContext", recorded)
+    for i, j, k, l in itertools.product(range(-1, 6), repeat=4):
+        for n in range(-1, 8):
+            try:
+                want = format_poly(plucker_relation(PolyContext(n, QQ), i, j, k, l))
+            except ValueError as e:
+                want = str(e)
+            sizes.clear()
+            try:
+                args = argparse.Namespace(i=i, j=j, k=k, l=l, n=n, field="q")
+                got = cli.cmd_plucker(args)[1][0]
+            except ValueError as e:
+                got = str(e)
+            assert got == want, (i, j, k, l, n)
+            assert all(size <= l for size in sizes), (i, j, k, l, n, sizes)
+    sizes.clear()
+    assert main(["plucker", "0", "1", "2", "3", "3000000"]) == 2
+    assert main(["plucker", "1", "2", "3", "3000001", "3000000"]) == 2
+    assert sizes == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: endpoints (0, 1) out of range for n=3000000",
+        "error: index 3000001 out of range for n=3000000",
+    ]
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

@@ -290,8 +290,8 @@ def test_witness_is_capped_before_the_basis_is_built(monkeypatch):
 
 def test_stepwise_products_check_their_exponents(monkeypatch):
     # each step's product r * F_k is written straight into the division, so
-    # fedder_check checks its keys itself: a factor key x_1^(2^15 - 1) times
-    # a term of f_12 with x_1 in it would carry into the guard bit
+    # _membership checks its keys itself: a factor key x_1^(2^15 - 1) times
+    # a term of f_1j with x_1 in it would carry into the guard bit
     real = edgeideals._fedder_factors
 
     def swapped(ctx):
@@ -300,9 +300,14 @@ def test_stepwise_products_check_their_exponents(monkeypatch):
         first = (EXP_MASK << ctx.shift(0), *factors[0][1:])
         return (first, *factors[1:]), witness
 
+    # with (2, 3) cached, forced C_4 takes the clique path for its three
+    # interval edges and G's own path for the edge (1, 4) alone
+    assert edgeideals._clique_membership(2, 3)
     monkeypatch.setattr(edgeideals, "_fedder_factors", swapped)
     with pytest.raises(ValueError, match="2\\^15"):
-        fedder_check(path_graph(3), 3)
+        edgeideals._clique_membership.__wrapped__(3, 3)
+    with pytest.raises(ValueError, match="2\\^15"):
+        fedder_check(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 3, force=True)
 
 
 def test_fedder_certificates_on_paths():
@@ -433,6 +438,56 @@ def test_stepwise_memberships_match_full_product():
                 assert cert.edge_memberships == memberships, (h.edges, p)
                 outcomes.update(cert.edge_memberships.values())
     assert outcomes == {True, False}
+
+
+def test_clique_memberships_match_full_product():
+    # the edge {1, m} of K_m, which fedder_check translates to every edge
+    # whose vertex interval is a clique of m vertices
+    cases = [(m, p) for m in range(2, 7) for p in (2, 3, 5)] + [(7, 2), (7, 3)]
+    for m, p in cases:
+        want = full_product_memberships(complete_graph(m), p)[1][(1, m)]
+        assert edgeideals._clique_membership(m, p) is want, (m, p)
+
+
+def test_a_false_clique_membership_falls_back_to_the_graph(monkeypatch):
+    # a False on K_m proves nothing about G, so G's own rows decide
+    monkeypatch.setattr(edgeideals, "_clique_membership", lambda m, p: False)
+    for h in closed_labelings(range(2, 7)):
+        for p in (2, 3, 5):
+            cert = fedder_check(h, p)
+            assert cert.edge_memberships == full_product_memberships(h, p)[1], (h.edges, p)
+
+
+def test_only_non_clique_intervals_take_the_graphs_own_path(monkeypatch):
+    primes = {n: (2, 3) if n == 7 else (2, 3, 5) for n in range(2, 8)}
+    for m, ps in primes.items():
+        for p in ps:
+            edgeideals._clique_membership(m, p)  # cached, so K_m's own calls are not counted
+    calls, rows = [], []
+    membership, bracket_rows = edgeideals._membership, edgeideals._bracket_rows
+
+    def counted_membership(ctx, factors, table, i, j):
+        calls.append((i, j))
+        return membership(ctx, factors, table, i, j)
+
+    def counted_rows(ctx, g):
+        rows.append(g)
+        return bracket_rows(ctx, g)
+
+    monkeypatch.setattr(edgeideals, "_membership", counted_membership)
+    monkeypatch.setattr(edgeideals, "_bracket_rows", counted_rows)
+    certificates = 0
+    for h in closed_labelings(range(2, 8)):
+        for p in primes[h.n]:
+            assert fedder_check(h, p).valid, (h.edges, p)
+            certificates += 1
+    # 43 closed classes with n <= 6 at three primes, 76 with n = 7 at two
+    assert (certificates, calls, rows) == (43 * 3 + 76 * 2, [], [])
+    c4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for p in (2, 3, 5):
+        assert not fedder_check(c4, p, force=True).edge_memberships[(1, 4)]
+    # the edge (1, 4) alone, with G's rows written once per certificate
+    assert (calls, rows) == ([(1, 4)] * 3, [c4] * 3)
 
 
 def test_interval_factors_reach_zero():

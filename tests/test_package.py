@@ -172,6 +172,7 @@ def test_cached_values_are_shared_and_unchangeable():
         "_all_graphs_up_to_iso": (4,),
         "subset_lattice": (3,),
         "_fedder_factors": (beideals.PolyContext(3, beideals.GF(3)),),
+        "_clique_membership": (3, 2),
     }
     cached = {}
     for info in pkgutil.iter_modules(beideals.__path__):
