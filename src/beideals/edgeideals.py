@@ -14,9 +14,10 @@ the colon criterion (ideal^[p] : ideal) versus m^[p].  Over F_p the
 binomial coefficient C(p-1, a) is (-1)^a, so f_{k,k+1}^(p-1) is the sum
 of (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a over a = 0..p-1, every
 coefficient 1; ``_fedder_factors`` writes these keys down and the witness
-is their sum set, with no polynomial multiplication.  Both depend on (n, p)
-alone and are built once per (n, p), so certificates share them; the
-witness's terms are read-only.  The basis of I^[p] is written down too:
+is their sum set, with no polynomial multiplication.  ``_fedder_record``
+keeps the ring, the factors, the witness, its degree and its m^[p] test,
+which depend on (n, p) alone, once per (n, p), so certificates share them;
+the witness's terms are read-only.  The basis of I^[p] is written down too:
 ``_bracket_rows`` turns each admissible path into its p-th power's
 division row, with no basis built first.
 
@@ -27,9 +28,17 @@ f_ij, the factor F_k = f_{k,k+1}^(p-1) of K_m to F_{k+i-1} of G, and the
 bracket power of K_m's ideal into that of the clique on i..j, hence into
 I^[p].  So f_{1m} * F_1 * ... * F_{m-1} in K_m's bracket power puts f_ij *
 F_i * ... * F_{j-1}, a divisor of f_ij times the witness, into I^[p].
-``_clique_membership`` decides that once per (m, p); under a closed
-labeling every edge's interval is a clique (closed graphs are the proper
-interval graphs).
+``_clique_membership`` decides that once per (m, p).
+
+Under a closed labeling of a connected graph every edge's interval is a
+clique (closed graphs are the proper interval graphs), so ``fedder_check``
+scans intervals only for forced labelings.  Proof: a shortest path is
+induced, so its labels are monotone (an interior vertex below or above both
+of its neighbours would make them adjacent).  For i < k < j, shared minima
+along a shortest path from i up to k carry the edge {i, j} to {k, j},
+shared maxima along one from k up to j carry it to {i, k}, and the edge
+{i, l} gives {k, l} for i < k < l < j the same way.  ``fedder_check``
+gives the proof in full.
 """
 
 from __future__ import annotations
@@ -178,47 +187,68 @@ def plucker_relation(ctx: PolyContext, i: int, j: int, k: int, l: int) -> Polyno
 
 # Most terms a Fedder witness may have: p^(n-1) reaches it at P_17 for p = 2.
 WITNESS_LIMIT = 1 << 16
-# Most (n, p) whose witness ``_fedder_factors`` keeps: a sweep over n <= 7
-# at p = 2, 3, 5 needs 18.
+# Most (n, p) whose record ``_fedder_record`` keeps: a sweep over n <= 7 at
+# p = 2, 3, 5 needs 18.
 FEDDER_CACHE_SIZE = 20
 
 
-@lru_cache(maxsize=FEDDER_CACHE_SIZE)
-def _fedder_factors(ctx: PolyContext) -> tuple:
-    """(factors, witness) over F_p, p the characteristic of ``ctx``.
+def _fedder_factors(n: int, p: int) -> tuple:
+    """(ring, factors): K[x_1..x_n, y_1..y_n] over F_p, and the keys of
+    the factors F_k = f_{k,k+1}^(p-1) of the witness.
 
-    ``factors[k - 1]`` holds the p keys of f_{k,k+1}^(p-1), the key of
+    ``factors[k - 1]`` holds the p keys of F_k, the key of
     (x_k y_{k+1})^(p-1-a) (x_{k+1} y_k)^a for a = 0..p-1, each with
-    coefficient C(p-1, a) (-1)^a = 1 in F_p.  The witness is their product:
-    its terms are the sums of one key from each factor, all distinct,
-    since x_1's exponent p-1-a_1 fixes a_1, x_2's p-1-a_2+a_1 then fixes
-    a_2, and so on.  So it has p^(n-1) terms, every coefficient 1.  An
-    exponent reaches p - 1 for n = 2 and 2(p - 1) otherwise; where that is
-    2^15 or more, ValueError is raised, and ``LimitExceededError`` where
-    p^(n-1) exceeds ``WITNESS_LIMIT``, both before any term is built.
-
-    Both depend on (n, p) alone, so the last 20 contexts asked for
-    (``FEDDER_CACHE_SIZE``) keep theirs, and every certificate with the same
-    (n, p) shares one witness and one tuple of factors.  Both are immutable,
-    since every caller gets the same objects: the factors are tuples and the
-    witness's terms a read-only ``MappingProxyType``.  The largest witness,
-    2^16 terms at n = 17 and p = 2, holds 8.8 MiB (tracemalloc), so the
-    cache holds at most about 175 MiB.
+    coefficient C(p-1, a) (-1)^a = 1 in F_p.  ``GF`` refuses a p that is
+    not a prime int first.  An exponent of the witness, their product,
+    reaches p - 1 for n = 2 and 2(p - 1) otherwise; where that is 2^15 or
+    more, ValueError is raised, and ``LimitExceededError`` where its p^(n-1)
+    terms exceed ``WITNESS_LIMIT``, both before any key is written.  The
+    one source of factor keys: ``_fedder_record`` builds G's from it and
+    ``_clique_membership`` K_m's, without a witness.
     """
-    n, p, shift = ctx.n, ctx.field.char, ctx.shift
+    ctx = PolyContext(n, GF(p))
     if (p - 1 if n == 2 else 2 * (p - 1)) >= EXP_LIMIT:
         raise ValueError(f"the witness at p = {p} would give an exponent of 2^15 or more")
     if p ** (n - 1) > WITNESS_LIMIT:
         raise LimitExceededError(f"the witness is capped at {WITNESS_LIMIT} terms, got {p}^{n - 1}")
+    shift = ctx.shift
     factors = []
     for k in range(1, n):
         lead = (1 << shift(k - 1)) + (1 << shift(n + k))  # x_k * y_{k+1}
         trail = (1 << shift(k)) + (1 << shift(n + k - 1))  # x_{k+1} * y_k
         factors.append(tuple((p - 1 - a) * lead + a * trail for a in range(p)))
+    return ctx, tuple(factors)
+
+
+@lru_cache(maxsize=FEDDER_CACHE_SIZE, typed=True)
+def _fedder_record(n: int, p: int) -> tuple:
+    """(ring, factors, witness, witness degree, whether the witness avoids
+    m^[p]): everything of a Fedder certificate that depends on (n, p)
+    alone, all built when the entry is.
+
+    The ring and factors come from ``_fedder_factors``, with its refusals.
+    The witness is the product of the factors: its terms are the sums of
+    one key from each factor, all distinct, since x_1's exponent p-1-a_1
+    fixes a_1, x_2's p-1-a_2+a_1 then fixes a_2, and so on.  So it has
+    p^(n-1) terms, every coefficient 1, and its degree is read off its
+    leading monomial, since it is homogeneous.
+
+    Records are keyed by (n, p) with their types kept apart, so a p of 2.0
+    never finds the entry of p = 2 and is refused by ``GF`` as it is cold.
+    The cache keeps the records of the last 20 pairs asked for
+    (``FEDDER_CACHE_SIZE``), and every certificate with the same (n, p)
+    shares one witness and one tuple of factors.  Both are immutable, since
+    every caller gets the same objects: the factors are tuples and the
+    witness's terms a read-only ``MappingProxyType``.  The largest witness,
+    2^16 terms at n = 17 and p = 2, holds 8.8 MiB (tracemalloc), so the
+    cache holds at most about 175 MiB.
+    """
+    ctx, factors = _fedder_factors(n, p)
     keys = [0]
     for terms in factors:
         keys = [m + t for m in keys for t in terms]
-    return tuple(factors), Polynomial._wrap(ctx, MappingProxyType(dict.fromkeys(keys, 1)))
+    witness = Polynomial._wrap(ctx, MappingProxyType(dict.fromkeys(keys, 1)))
+    return ctx, factors, witness, ctx.degree(witness.lm()), not_in_bracket_m(witness, p)
 
 
 def _bracket_rows(ctx: PolyContext, g: Graph) -> list:
@@ -268,11 +298,19 @@ def _membership(ctx: PolyContext, factors: tuple, table: list, i: int, j: int) -
     return False
 
 
+def _interval_is_clique(masks: tuple, i: int, j: int) -> bool:
+    """Whether the vertices i..j are pairwise adjacent in the graph of
+    ``masks``: each of them misses only itself in the interval."""
+    interval = (1 << j) - (1 << i - 1)  # the bits of vertices i..j
+    return all(interval & ~masks[v - 1] == 1 << v - 1 for v in range(i, j + 1))
+
+
 @lru_cache(maxsize=None)
 def _clique_membership(m: int, p: int) -> bool:
     """Whether f_{1m} * F_1 * ... * F_{m-1} lies in the bracket power of
     K_m's edge ideal at the prime p: ``_membership`` on K_m's own ring,
-    rows and factors, for the edge {1, m}.
+    rows and factors, for the edge {1, m}.  The ring and factor keys come
+    from ``_fedder_factors``; no witness is built and no record is kept.
 
     ``fedder_check`` translates a True to every edge {i, j} with j - i + 1
     = m whose vertex interval is a clique (see the module docstring).  The
@@ -281,9 +319,9 @@ def _clique_membership(m: int, p: int) -> bool:
     (p^(n-1) <= ``WITNESS_LIMIT`` = 2^16) and 2(p - 1) < 2^15 (p - 1 < 2^15
     when m = n = 2), which leaves a few thousand pairs (m, p) at most.
     """
-    ctx = PolyContext(m, GF(p))
+    ctx, factors = _fedder_factors(m, p)
     k_m = Graph(m, itertools.combinations(range(1, m + 1), 2))
-    return _membership(ctx, _fedder_factors(ctx)[0], _bracket_rows(ctx, k_m), 1, m)
+    return _membership(ctx, factors, _bracket_rows(ctx, k_m), 1, m)
 
 
 @dataclass(frozen=True)
@@ -342,10 +380,12 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     ``_bracket_rows`` writes that basis's division rows straight from the
     admissible paths, in the order ``IdealBasis`` would give them.
 
-    The witness and its factors F_k = f_{k,k+1}^(p-1) come from the closed
-    form of ``_fedder_factors``, built once per (n, p) and shared by every
-    certificate with that n and p.  It raises ``LimitExceededError`` past
-    ``WITNESS_LIMIT`` terms before any row is written.
+    The ring, the witness, its factors F_k = f_{k,k+1}^(p-1), its degree
+    and whether it avoids m^[p] come from ``_fedder_record``, built once
+    per (n, p) from the closed form and shared by every certificate with
+    that n and p, so a warm certificate does only the work of its graph.
+    It raises ``LimitExceededError`` past ``WITNESS_LIMIT`` terms before
+    any row is written.
 
     An edge {i, j} whose vertices i..j are pairwise adjacent is decided on
     K_m, m = j - i + 1: the ring map phi with x_a -> x_{a+i-1},
@@ -357,11 +397,25 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
     in I^[p].  ``_clique_membership`` decides that once per (m, p).  A True
     there proves the membership; a False proves nothing about G, so that
     edge, and every edge whose interval is not a clique, is decided by
-    ``_membership`` on G's own rows, written at most once per call.  Under
-    a closed labeling every interval is a clique.  ``_membership`` takes
-    the interval factors k = i, ..., j - 1 first: on every closed labeling
-    with n <= 6 and p <= 5, G's remainder reaches zero after exactly those
-    j - i factors (observed, not proved).
+    ``_membership`` on G's own rows, written at most once per call.
+
+    Under a closed labeling every interval is a clique, since g is
+    connected, so only a forced labeling scans them.  Proof: a shortest
+    path is induced, and its labels are strictly monotone, since an
+    interior vertex below or above both of its neighbours would make them
+    adjacent by closedness, a chord.  For i < k < j take a shortest path
+    i = u_s < ... < u_0 = k.  The edges {i, u_{s-1}} and {i, j} share their
+    minimum, so {u_{s-1}, j} is an edge; then {u_{s-1}, u_{s-2}} and
+    {u_{s-1}, j} give {u_{s-2}, j}, and so on up to {k, j}.  A shortest
+    path k = w_0 < ... < w_t = j gives {i, w_{t-1}}, ..., {i, k} the same
+    way, through shared maxima.  For i < k < l < j, the first step applied
+    to the edge {i, l} gives {k, l}.  Connectivity is needed:
+    ``Graph(3, [(1, 3)])`` is closed, and 2 lies in the interval of {1, 3}
+    without a neighbour; a disconnected g is refused first.
+
+    ``_membership`` takes the interval factors k = i, ..., j - 1 first: on
+    every closed labeling with n <= 6 and p <= 5, G's remainder reaches
+    zero after exactly those j - i factors (observed, not proved).
     """
     if not is_connected(g):
         raise ValueError("the check needs a connected graph")
@@ -372,14 +426,10 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
         raise NotClosedError(
             "labeling is not closed; rerun with force to compute anyway"
         )
-    ctx = PolyContext(g.n, GF(p))
-    factors, witness = _fedder_factors(ctx)
+    ctx, factors, witness, degree, outside = _fedder_record(g.n, p)
     masks, table, memberships = g.masks, None, {}
     for i, j in g.sorted_edges():
-        interval = (1 << j) - (1 << i - 1)  # the bits of vertices i..j
-        # a clique: each vertex of the interval misses only itself in it
-        if (all(interval & ~masks[v - 1] == 1 << v - 1 for v in range(i, j + 1))
-                and _clique_membership(j - i + 1, p)):
+        if (closed or _interval_is_clique(masks, i, j)) and _clique_membership(j - i + 1, p):
             memberships[(i, j)] = True
             continue
         if table is None:
@@ -389,8 +439,8 @@ def fedder_check(g: Graph, p: int, force: bool = False) -> FedderCertificate:
         n=g.n,
         p=p,
         witness=witness,
-        witness_degree=ctx.degree(witness.lm()),  # the witness is homogeneous
-        not_in_m_bracket=not_in_bracket_m(witness, p),
+        witness_degree=degree,
+        not_in_m_bracket=outside,
         edge_memberships=memberships,
         closed_labeling=closed,
         forced=force,

@@ -104,8 +104,10 @@ def is_connected(g: Graph) -> bool:
     seen = frontier = 1  # vertex 1
     while frontier:
         reach = 0
-        for v in _bits(frontier):
-            reach |= masks[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= masks[low.bit_length() - 1]
         frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
@@ -140,8 +142,11 @@ def is_closed_with_labeling(g: Graph) -> bool:
     for v, nb in enumerate(masks):
         below = nb & ((1 << v) - 1)
         for side in (below, nb ^ below):
-            for u in _bits(side):
-                if side & ~masks[u] != 1 << u:
+            rest = side
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if side & ~masks[low.bit_length() - 1] != low:
                     return False
     return True
 

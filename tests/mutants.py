@@ -176,8 +176,8 @@ MUTANTS = (
     (
         "fedder_factors_hands_out_a_list",
         "edgeideals.py",
-        "    return tuple(factors), ",
-        "    return factors, ",
+        "    return ctx, tuple(factors)\n",
+        "    return ctx, factors\n",
         ("tests/test_package.py::test_cached_values_are_shared_and_unchangeable",),
     ),
     (
@@ -198,18 +198,34 @@ MUTANTS = (
     (
         "clique_path_skips_the_interval_test",
         "edgeideals.py",
-        "        if (all(interval & ~masks[v - 1] == 1 << v - 1 for v in range(i, j + 1))\n",
-        "        if (True\n",
+        "closed or _interval_is_clique(masks, i, j)",
+        "closed or True",
         ("tests/test_edgeideals.py::test_stepwise_memberships_match_full_product",),
     ),
     (
         "clique_false_taken_as_final",
         "edgeideals.py",
-        "                and _clique_membership(j - i + 1, p)):\n"
+        " and _clique_membership(j - i + 1, p):\n"
         "            memberships[(i, j)] = True\n",
-        "                ):\n"
+        ":\n"
         "            memberships[(i, j)] = _clique_membership(j - i + 1, p)\n",
         ("tests/test_edgeideals.py::test_a_false_clique_membership_falls_back_to_the_graph",),
+    ),
+    (
+        "closedness_checks_one_side",
+        "graphs.py",
+        "        for side in (below, nb ^ below):\n",
+        "        for side in (below,):\n",
+        ("tests/test_graphs.py::test_closed_connected_labelings_have_clique_intervals",
+         "tests/test_graphs.py::test_mask_graph_layer_matches_set_oracles"),
+    ),
+    (
+        "connectivity_stops_after_one_vertex",
+        "graphs.py",
+        "            frontier ^= low\n",
+        "            frontier = 0\n",
+        ("tests/test_graphs.py::test_connectivity_and_paths",
+         "tests/test_graphs.py::test_enumeration_against_edge_mask_scan"),
     ),
     (
         "main_exits_0_on_a_failed_check",

@@ -32,7 +32,7 @@ from beideals import (
     relabel,
 )
 from beideals import edgeideals, groebner
-from beideals.edgeideals import _bracket_rows, _fedder_factors, _initial_masks
+from beideals.edgeideals import _bracket_rows, _fedder_record, _initial_masks
 from beideals.graphs import LimitExceededError, _all_graphs_up_to_iso
 from beideals.polys import EXP_MASK
 from beideals.simplicial import support_masks
@@ -222,7 +222,7 @@ def test_pair_power_product_signs():
 
 def fedder_witness(n, p):
     """The witness on n vertices at the prime p, from the closed form."""
-    return _fedder_factors(PolyContext(n, GF(p)))[1]
+    return _fedder_record(n, p)[2]
 
 
 def test_witness_degree_and_lead():
@@ -249,13 +249,14 @@ def test_closed_form_witness_matches_product():
     for p, n_max in ((2, 7), (3, 7), (5, 6), (7, 5)):
         for n in range(2, n_max + 1):
             ctx = PolyContext(n, GF(p))
-            factors, witness = _fedder_factors(ctx)
+            ring, factors, witness, degree, outside = _fedder_record(n, p)
+            assert ring == ctx and degree == 2 * (n - 1) * (p - 1)
             for k, keys in enumerate(factors, start=1):
                 assert dict.fromkeys(keys, 1) == (edge_binomial(ctx, k, k + 1) ** (p - 1)).terms
             assert witness == pair_power_product(ctx, range(1, n + 1), p - 1), (n, p)
             assert len(witness.terms) == p ** (n - 1)
             assert set(witness.terms.values()) == {1}
-            assert not_in_bracket_m(witness, p)
+            assert not_in_bracket_m(witness, p) and outside is True
             cases += 1
     assert cases == 6 + 6 + 5 + 4
 
@@ -294,16 +295,19 @@ def test_stepwise_products_check_their_exponents(monkeypatch):
     # a term of f_1j with x_1 in it would carry into the guard bit
     real = edgeideals._fedder_factors
 
-    def swapped(ctx):
-        # a copy: the cached factors are shared by every later certificate
-        factors, witness = real(ctx)
+    def swapped(n, p):
+        # a copy: the cached record shares its factors with every later certificate
+        ctx, factors = real(n, p)
         first = (EXP_MASK << ctx.shift(0), *factors[0][1:])
-        return (first, *factors[1:]), witness
+        return ctx, (first, *factors[1:])
 
     # with (2, 3) cached, forced C_4 takes the clique path for its three
     # interval edges and G's own path for the edge (1, 4) alone
     assert edgeideals._clique_membership(2, 3)
+    # _fedder_factors is the one source of factor keys, for K_m and for G;
+    # G's record is built uncached, so no swapped key outlives the test
     monkeypatch.setattr(edgeideals, "_fedder_factors", swapped)
+    monkeypatch.setattr(edgeideals, "_fedder_record", _fedder_record.__wrapped__)
     with pytest.raises(ValueError, match="2\\^15"):
         edgeideals._clique_membership.__wrapped__(3, 3)
     with pytest.raises(ValueError, match="2\\^15"):
@@ -397,16 +401,34 @@ def test_certificates_with_the_same_n_and_p_share_the_witness():
 
 def test_witness_cache_holds_a_sweep_without_evicting():
     # the bound is one constant, and the docstring states it
-    maxsize = _fedder_factors.cache_info().maxsize
+    maxsize = _fedder_record.cache_info().maxsize
     assert maxsize == edgeideals.FEDDER_CACHE_SIZE
-    assert re.search(r"the last (\d+) contexts", _fedder_factors.__doc__).group(1) == str(maxsize)
-    _fedder_factors.cache_clear()
-    contexts = [PolyContext(n, GF(p)) for n in range(2, 8) for p in (2, 3, 5)]
-    first = [_fedder_factors(ctx) for ctx in contexts]
-    again = [_fedder_factors(ctx) for ctx in contexts]
+    assert re.search(r"the last (\d+) pairs", _fedder_record.__doc__).group(1) == str(maxsize)
+    _fedder_record.cache_clear()
+    pairs = [(n, p) for n in range(2, 8) for p in (2, 3, 5)]
+    first = [_fedder_record(n, p) for n, p in pairs]
+    again = [_fedder_record(n, p) for n, p in pairs]
     assert all(a is b for a, b in zip(first, again))
-    info = _fedder_factors.cache_info()
+    info = _fedder_record.cache_info()
     assert (info.hits, info.misses, info.currsize) == (18, 18, 18)
+
+
+def test_clique_memberships_build_no_record():
+    # K_m's ring and factor keys come from the plain _fedder_factors, so a
+    # cold K_16 fills one record, its own, and not one per m = 2..16
+    _fedder_record.cache_clear()
+    edgeideals._clique_membership.cache_clear()
+    assert fedder_check(complete_graph(16), 2).valid
+    assert _fedder_record.cache_info().currsize == 1
+    assert edgeideals._clique_membership.cache_info().currsize == 15
+
+
+def test_a_warm_record_refuses_a_prime_that_is_not_an_int():
+    # the record is keyed with types apart: (3, 2.0) equals (3, 2) as a key
+    # of a plain lru_cache, and would hand back the certificate of p = 2
+    assert fedder_check(path_graph(3), 2).valid
+    with pytest.raises(ValueError, match="characteristic must be prime, got 2.0"):
+        fedder_check(path_graph(3), 2.0)
 
 
 def test_the_shared_witness_cannot_be_changed_in_place():

@@ -168,6 +168,27 @@ def test_graphs_with_no_closed_labeling():
     assert find_closed_labeling(claw) is None
 
 
+def test_closed_connected_labelings_have_clique_intervals():
+    # the lemma fedder_check rests on: under a closed labeling of a connected
+    # graph the vertices i..j of every edge {i, j} are pairwise adjacent
+    closed = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for perm in itertools.permutations(range(1, n + 1)):
+                h = relabel(g, perm)
+                if is_closed_with_labeling(h):
+                    closed += 1
+                    for i, j in h.edges:
+                        assert all(has_edge(h, a, b) for a, b in
+                                   itertools.combinations(range(i, j + 1), 2)), (h, i, j)
+    # relabelings, not distinct labeled graphs: the single vertex and 1,222 more
+    assert closed == 1223
+    # connectivity is needed: 1..3 is the interval of the edge {1, 3}, and
+    # the isolated vertex 2 in it leaves the labeling closed
+    gap = Graph(3, [(1, 3)])
+    assert is_closed_with_labeling(gap) and not has_edge(gap, 1, 2)
+
+
 def closed_labeling_by_scan(g):
     """The first labeling, in lexicographic order, that is closed; n! checks."""
     for perm in itertools.permutations(range(1, g.n + 1)):
@@ -744,6 +765,7 @@ def test_mask_graph_layer_matches_set_oracles():
                                         for v in range(1, n + 1)), g
                 assert g.degree_sequence() == tuple(sorted(map(len, adj.values()))), g
                 assert is_closed_with_labeling(g) == closed_by_edge_pairs(g), g
+                assert is_connected(g) == nx.is_connected(networkx_graph(g)), g
                 assert find_closed_labeling(g) == closed_labeling_by_dict_lexbfs(g), g
                 for i, j in itertools.combinations(range(1, n + 1), 2):
                     got = admissible_paths(g, i, j)
